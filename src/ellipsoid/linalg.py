@@ -9,8 +9,6 @@ relative pivot tolerance, never by eigenvalues.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # A pivot counts as positive only if it exceeds this fraction of the largest
@@ -92,19 +90,18 @@ def cholesky(M: np.ndarray, pivot_tol: float | None = None) -> np.ndarray | None
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
     if pivot_tol is None:
         tol = PIVOT_TOL * float(np.max(np.diagonal(A)))
     else:
         tol = float(pivot_tol)
-    L = np.zeros_like(A)
-    for j in range(n):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if not pivot > tol:  # also rejects NaN
-            return None
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    # LAPACK stops only at a pivot <= 0; the squared diagonal of L is the
+    # pivot sequence, so the tolerance is applied to it afterwards.
+    if not np.all(np.diagonal(L) ** 2 > tol):  # also rejects NaN
+        return None
     return L
 
 
@@ -117,18 +114,11 @@ def log_det_pd(M: np.ndarray) -> float:
 
 
 def solve_pd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M y = rhs for PD ``M`` by forward/back substitution."""
+    """Solve M y = rhs for PD ``M`` through its Cholesky factor (two LAPACK solves)."""
     L = cholesky(M)
     if L is None:
         raise NotPositiveDefiniteError("matrix is not positive definite")
     b = np.asarray(rhs, dtype=float)
-    n = L.shape[0]
-    if b.ndim != 1 or b.size != n:
+    if b.ndim != 1 or b.size != L.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {M.shape}, rhs {b.shape}")
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
-    return x
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))

@@ -156,15 +156,43 @@ def row_tolerance(tol: float, bound: float) -> float:
     return tol * (1.0 + abs(bound))
 
 
+class _PackedRows:
+    """The rows of a system as arrays, for one solve.
+
+    ``A`` is m x n and ``floor`` holds ``b - tol*(1+|b|)`` per row, so a
+    point x violates row i exactly when ``(A @ x)[i] < floor[i]``.  The
+    arrays are built per call and never kept on the :class:`LinearSystem`,
+    which stays a tuple of rows.  ``constraints`` and ``dim`` are those of
+    the packed system.
+    """
+
+    __slots__ = ("constraints", "dim", "A", "floor", "tol")
+
+    def __init__(self, sys: LinearSystem, tol: float):
+        self.constraints = sys.constraints
+        self.dim = sys.dim
+        m = len(sys.constraints)
+        self.A = np.array([con.normal for con in sys.constraints]).reshape(m, sys.dim)
+        b = np.fromiter((con.bound for con in sys.constraints), float, m)
+        self.floor = b - tol * (1.0 + np.abs(b))
+        self.tol = tol
+
+
 def find_violated(
-    sys: LinearSystem, x, tol: float = DEFAULT_VIOLATION_TOL
+    sys: LinearSystem | _PackedRows, x, tol: float = DEFAULT_VIOLATION_TOL
 ) -> Optional[tuple[int, Constraint]]:
-    """First (lowest-index) constraint with a^T x < b - tol*(1+|b|), or None."""
+    """First (lowest-index) constraint with a^T x < b - tol*(1+|b|), or None.
+
+    ``sys`` may be a :class:`LinearSystem`, packed here for this call, or
+    rows already packed with the same ``tol``.
+    """
+    rows = sys if isinstance(sys, _PackedRows) and sys.tol == tol else _PackedRows(sys, tol)
     point = as_vector(x, sys.dim)
-    for i, con in enumerate(sys.constraints):
-        if con.slack(point) < -row_tolerance(tol, con.bound):
-            return i, con
-    return None
+    hits = np.flatnonzero(rows.A @ point < rows.floor)
+    if hits.size == 0:
+        return None
+    i = int(hits[0])
+    return i, sys.constraints[i]
 
 
 def iteration_cap(n: int, log_v0: float, epsilon: float) -> int:
@@ -212,9 +240,10 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
         else iteration_cap(n, state.log_volume, cfg.epsilon)
     )
 
+    rows = _PackedRows(sys, cfg.violation_tolerance)
     cuts = 0
     while True:
-        hit = find_violated(sys, state.center, cfg.violation_tolerance)
+        hit = find_violated(rows, state.center, cfg.violation_tolerance)
         if hit is None:
             if cfg.trace is not None:
                 cfg.trace(
@@ -241,7 +270,11 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
 
 @dataclass(frozen=True)
 class CertReport:
-    """Independent re-check of a solve outcome against the raw constraints."""
+    """Independent re-check of a solve outcome against the raw constraints.
+
+    For a feasible point, ``worst_index`` is the row with the least margin
+    above its tolerance floor and ``min_slack`` that row's a^T x - b.
+    """
 
     kind: str
     passed: bool
@@ -261,22 +294,27 @@ def certify(
 ) -> CertReport:
     """Re-check an outcome from scratch.
 
-    For ``Feasible``, every constraint is re-evaluated at the returned point
-    and the minimum slack reported.  For ``VolumeExhausted``, the final
+    For ``Feasible``, every constraint is re-evaluated at the returned point;
+    it passes when each row meets a^T x >= b - tol*(1+|b|), the predicate
+    :func:`find_violated` separates on.  For ``VolumeExhausted``, the final
     log-volume is compared against ln(epsilon) when epsilon is supplied.
     """
     if isinstance(outcome, Feasible):
         if not sys.constraints:
             return CertReport("feasible", True, outcome.iterations, min_slack=math.inf,
                               notes="no constraints")
-        slacks = [con.slack(outcome.point) for con in sys.constraints]
-        worst = int(np.argmin(slacks))
-        tol = row_tolerance(violation_tolerance, sys.constraints[worst].bound)
+        # Margin above the row's floor b - tol*(1+|b|): the predicate that
+        # separation uses, so every row must clear its own tolerance.
+        margins = []
+        for con in sys.constraints:
+            floor = con.bound - row_tolerance(violation_tolerance, con.bound)
+            margins.append(float(con.normal @ outcome.point) - floor)
+        worst = int(np.argmin(margins))
         return CertReport(
             "feasible",
-            passed=slacks[worst] >= -tol,
+            passed=margins[worst] >= 0.0,
             iterations=outcome.iterations,
-            min_slack=float(slacks[worst]),
+            min_slack=sys.constraints[worst].slack(outcome.point),
             worst_index=worst,
         )
     if isinstance(outcome, VolumeExhausted):

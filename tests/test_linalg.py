@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsoid.linalg import (
+    PIVOT_TOL,
     NotPositiveDefiniteError,
     cholesky,
     log_det_pd,
@@ -22,6 +23,52 @@ from ellipsoid.linalg import (
 from instances import random_pd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def reference_cholesky(M, pivot_tol=None):
+    """The original pure-Python factor, kept as the reference for cholesky."""
+    A = np.asarray(M, dtype=float)
+    n = A.shape[0]
+    if pivot_tol is None:
+        tol = PIVOT_TOL * float(np.max(np.diagonal(A)))
+    else:
+        tol = float(pivot_tol)
+    L = np.zeros_like(A)
+    for j in range(n):
+        pivot = A[j, j] - L[j, :j] @ L[j, :j]
+        if not pivot > tol:  # also rejects NaN
+            return None
+        L[j, j] = math.sqrt(pivot)
+        if j + 1 < n:
+            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def reference_case(rng, n: int, kind: str) -> np.ndarray:
+    """A symmetric matrix whose PD verdict is far from any rounding edge."""
+    if kind == "pd":
+        return random_pd(rng, n)
+    if kind in ("scaled_accept", "scaled_reject"):
+        # Last pivot about 1e-10 (accepted) or 1e-14 (rejected under
+        # PIVOT_TOL, accepted with pivot_tol=0.0) of the largest diagonal.
+        d = np.ones(n)
+        d[-1] = 1e-5 if kind == "scaled_accept" else 1e-7
+        return symmetrize(d[:, None] * random_pd(rng, n, floor=1.0) * d[None, :])
+    if kind == "rank_one":
+        # Exactly singular: integer v v^T has a zero pivot in exact arithmetic.
+        v = rng.integers(1, 5, size=n).astype(float)
+        return np.outer(v, v)
+    if kind == "indefinite":
+        M = random_pd(rng, n)
+        return symmetrize(M - (np.linalg.eigvalsh(M)[0] + 0.5) * np.eye(n))
+    if kind == "nan_diagonal":
+        M = random_pd(rng, n)
+        M[n - 1, n - 1] = math.nan
+        return M
+    M = random_pd(rng, n)  # nan_off_diagonal
+    i = int(rng.integers(0, n))
+    M[i, 0] = M[0, i] = math.nan
+    return M
 
 
 def test_mat_vec_reference_values():
@@ -147,6 +194,32 @@ def test_cholesky_reconstructs_input(seed, n):
     assert L is not None
     err = np.abs(L @ L.T - M)
     assert np.all(err <= 1e-10 * (1.0 + np.abs(M)))
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from(["pd", "scaled_accept", "scaled_reject", "rank_one", "indefinite",
+                     "nan_diagonal", "nan_off_diagonal"]),
+    st.sampled_from([None, 0.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cholesky_agrees_with_reference_factor(seed, n, kind, pivot_tol):
+    if n == 1 and kind in ("scaled_accept", "scaled_reject", "rank_one"):
+        n = 2  # these need an off-diagonal to be near-singular
+    M = reference_case(np.random.default_rng(seed), n, kind)
+    expected = reference_cholesky(M, pivot_tol)
+    got = cholesky(M, pivot_tol)
+    if kind in ("rank_one", "indefinite") or kind.startswith("nan"):
+        assert expected is None
+    if kind == "scaled_reject":
+        assert (expected is None) == (pivot_tol is None)
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    scale = math.sqrt(float(np.max(np.diagonal(M))))
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * scale)
 
 
 @given(seeds, st.integers(min_value=1, max_value=7))

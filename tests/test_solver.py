@@ -103,6 +103,52 @@ def test_find_violated_tolerance_scales_with_bound():
     assert find_violated(small, np.array([-1e-4, 0.0])) is not None
 
 
+def reference_first_violated(sys: LinearSystem, x, tol: float):
+    """Per-row loop over the separation predicate a.x < b - tol*(1+|b|)."""
+    for i, con in enumerate(sys.constraints):
+        if float(con.normal @ x) < con.bound - row_tolerance(tol, con.bound):
+            return i
+    return None
+
+
+@given(
+    seeds,
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([0.0, 1e-9, 1e-6]),
+)
+@settings(max_examples=150, deadline=None)
+def test_find_violated_matches_per_row_reference(seed, n, m, tol):
+    rng = np.random.default_rng(seed)
+    # Bounds of both signs spanning twelve orders of magnitude.
+    b = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-6.0, 6.0, size=m)
+    floor = b - tol * (1.0 + np.abs(b))
+    A = rng.normal(size=(m, n))
+    # At x = e_0 the product A @ x is exactly A[:, 0], so rows whose first
+    # entry is their floor or one ulp either side put that point exactly on
+    # the tolerance edge.
+    edge = rng.random(m) < 0.7
+    step = rng.integers(-1, 2, size=m)
+    on_edge = np.where(step < 0, np.nextafter(floor, -np.inf),
+                       np.where(step > 0, np.nextafter(floor, np.inf), floor))
+    A[:, 0] = np.where(edge, on_edge, A[:, 0])
+    sys = LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), 1.0)
+
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    points = [e0, rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 7.0)]
+    for x in points:
+        expected = reference_first_violated(sys, x, tol)
+        hit = find_violated(sys, x, tol)
+        if expected is None:
+            assert hit is None
+        else:
+            assert hit is not None
+            assert hit[0] == expected and hit[1] is sys.constraints[expected]
+    if m == 0:
+        assert find_violated(sys, e0, tol) is None
+
+
 def test_iteration_cap_reference_values():
     assert iteration_cap(3, math.log(1e-6), 1e-6) == 1
     assert iteration_cap(2, 1.0, math.exp(0.0)) == 6  # V0/eps = e
@@ -237,6 +283,27 @@ def test_certify_reference_values():
 
     empty = certify(Feasible(np.zeros(2), 0), LinearSystem(2, (), 1.0))
     assert empty.passed and empty.min_slack == math.inf
+
+
+def test_certify_checks_every_row_against_its_own_tolerance():
+    # Row 0 has the more negative slack but is inside its 1e-9*(1+1e6)
+    # tolerance; row 1 misses its 1e-9 tolerance and must fail the check.
+    sys = LinearSystem(
+        2,
+        (
+            Constraint(np.array([1.0, 0.0]), 1e6),
+            Constraint(np.array([0.0, 1.0]), 0.0),
+        ),
+        2e6,
+    )
+    point = np.array([1e6 - 5e-4, -1e-6])
+    assert find_violated(sys, point)[0] == 1
+    report = certify(Feasible(point, 0), sys)
+    assert not report.passed
+    assert report.worst_index == 1 and report.min_slack == pytest.approx(-1e-6)
+    # Within tolerance on both rows: passes, worst is still the tighter row.
+    ok = certify(Feasible(np.array([1e6 - 5e-4, -5e-10]), 0), sys)
+    assert ok.passed and ok.worst_index == 1
 
 
 @given(seeds)
