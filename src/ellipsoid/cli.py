@@ -115,6 +115,17 @@ def _report(outcome, sys: LinearSystem, cfg: SolverConfig, oracle: dict | None) 
     return report
 
 
+def _json_value(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    return value
+
+
 def _print_text(report: dict) -> None:
     print(f"status: {report['status']}")
     print(f"iterations: {report['iterations']}")
@@ -229,7 +240,7 @@ def main(argv=None) -> int:
     oracle = _oracle_section(sys, outcome) if args.verify else None
     report = _report(outcome, sys, cfg, oracle)
     if args.output == "json":
-        print(json.dumps(report))
+        print(json.dumps(_json_value(report), allow_nan=False))
     else:
         _print_text(report)
     return EXIT_FEASIBLE if isinstance(outcome, Feasible) else EXIT_NOT_FOUND

@@ -41,7 +41,6 @@ from .linalg import (
     mat_vec,
     rank1_downdate,
     solve_pd,
-    symmetrize,
 )
 
 # a^T K a at or below this is treated as a degenerate cut: the square root
@@ -113,6 +112,17 @@ class EllipsoidState:
         return self.center.size
 
 
+def _frozen_state(center: np.ndarray, shape: np.ndarray, log_volume: float) -> EllipsoidState:
+    """Wrap freshly computed, matching arrays without the constructor's copies."""
+    center.flags.writeable = False
+    shape.flags.writeable = False
+    state = object.__new__(EllipsoidState)
+    object.__setattr__(state, "center", center)
+    object.__setattr__(state, "shape", shape)
+    object.__setattr__(state, "log_volume", log_volume)
+    return state
+
+
 def unit_ball(n: int) -> EllipsoidState:
     """Unit ball at the origin: center 0, shape I."""
     if n < 1:
@@ -152,7 +162,11 @@ def central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
     n = state.dim
     if n < 2:
         raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
-    a = as_vector(cut.normal, n)
+    # The Cut and EllipsoidState constructors already validated and froze
+    # these arrays; only the pairing of the two can still be wrong.
+    a = cut.normal
+    if a.size != n:
+        raise ValueError(f"vector has length {a.size}, expected {n}")
 
     K = state.shape
     Ka = mat_vec(K, a)
@@ -163,9 +177,9 @@ def central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
     alpha = math.sqrt(aKa)
     center = state.center + Ka / ((n + 1) * alpha)
 
-    # K - 2/(n+1) * (Ka)(Ka)^T / aKa, then the n^2/(n^2-1) blow-up.
-    shrunk = rank1_downdate(K, Ka, 2.0 / ((n + 1) * aKa))
-    shape = symmetrize(n * n / (n * n - 1.0) * shrunk)
+    # K - 2/(n+1) * (Ka)(Ka)^T / aKa, then the n^2/(n^2-1) blow-up.  The
+    # downdate is exactly symmetric and a scalar multiple keeps it so.
+    shape = n * n / (n * n - 1.0) * rank1_downdate(K, Ka, 2.0 / ((n + 1) * aKa))
 
     # Certify with strictly positive pivots rather than the relative
     # tolerance: long one-directional cut sequences drive the condition
@@ -173,7 +187,7 @@ def central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
     if cholesky(shape, pivot_tol=0.0) is None:
         raise PDLostError("updated shape matrix is no longer positive definite")
 
-    return EllipsoidState(center, shape, state.log_volume + step_log_ratio(n))
+    return _frozen_state(center, shape, state.log_volume + step_log_ratio(n))
 
 
 def contains(state: EllipsoidState, x, slack: float = CONTAINMENT_SLACK) -> bool:

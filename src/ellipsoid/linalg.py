@@ -33,20 +33,6 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return out
 
 
-def as_symmetric(M, dim: int | None = None) -> np.ndarray:
-    """Validate ``M`` as a finite, exactly symmetric square float64 array."""
-    out = np.asarray(M, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1] or out.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {out.shape}")
-    if dim is not None and out.shape[0] != dim:
-        raise ValueError(f"matrix has order {out.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
-    if not np.array_equal(out, out.T):
-        out = symmetrize(out)
-    return out
-
-
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Average mirrored entries; the result is bitwise symmetric."""
     return 0.5 * (M + M.T)
@@ -99,8 +85,11 @@ def cholesky(M: np.ndarray, pivot_tol: float | None = None) -> np.ndarray | None
     except np.linalg.LinAlgError:
         return None
     # LAPACK stops only at a pivot <= 0; the squared diagonal of L is the
-    # pivot sequence, so the tolerance is applied to it afterwards.
-    if not np.all(np.diagonal(L) ** 2 > tol):  # also rejects NaN
+    # pivot sequence, so the tolerance is applied to it afterwards.  Squaring
+    # is monotone on the nonnegative diagonal, so testing the least entry
+    # tests them all; NaN propagates through min and is rejected.
+    least = float(np.diagonal(L).min(initial=np.inf))
+    if not least * least > tol:
         return None
     return L
 

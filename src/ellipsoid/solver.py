@@ -127,7 +127,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.violation_tolerance < 0.0:
+        if not self.violation_tolerance >= 0.0:
             raise ValueError("violation_tolerance must be >= 0")
 
 
@@ -183,11 +183,14 @@ def find_violated(
 ) -> Optional[tuple[int, Constraint]]:
     """First (lowest-index) constraint with a^T x < b - tol*(1+|b|), or None.
 
-    ``sys`` may be a :class:`LinearSystem`, packed here for this call, or
-    rows already packed with the same ``tol``.
+    ``sys`` may be a :class:`LinearSystem`, packed and ``x`` validated here
+    for this call, or rows already packed with the same ``tol``, which the
+    solve loop passes with its own (already valid) center.
     """
-    rows = sys if isinstance(sys, _PackedRows) and sys.tol == tol else _PackedRows(sys, tol)
-    point = as_vector(x, sys.dim)
+    if isinstance(sys, _PackedRows) and sys.tol == tol:
+        rows, point = sys, x
+    else:
+        rows, point = _PackedRows(sys, tol), as_vector(x, sys.dim)
     hits = np.flatnonzero(rows.A @ point < rows.floor)
     if hits.size == 0:
         return None
@@ -206,15 +209,31 @@ def iteration_cap(n: int, log_v0: float, epsilon: float) -> int:
     return max(1, math.ceil(2.0 * (n + 1) * (log_v0 - math.log(epsilon))))
 
 
+def _interval_end(a: float, floor: float) -> float:
+    """floor/a, moved by ulps until a*x >= floor holds in floats.
+
+    Rounding keeps a*x monotone in x, so the row then also passes at every
+    float beyond the returned end (above it for a > 0, below for a < 0).
+    """
+    toward = math.inf if a > 0.0 else -math.inf
+    x = floor / a
+    while not a * x >= floor:
+        x = math.nextafter(x, toward)
+    return x
+
+
 def _solve_interval(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
-    # 1-D fallback: each row a*x >= b is a half-line; intersect within [-R, R].
+    # 1-D fallback: a row passes at x when a*x >= b - tol*(1+|b|), the
+    # predicate find_violated separates on, so each row is a half-line of
+    # floats; intersect them within [-R, R].
     lo, hi = -sys.radius, sys.radius
     for con in sys.constraints:
         a = float(con.normal[0])
+        end = _interval_end(a, con.bound - row_tolerance(cfg.violation_tolerance, con.bound))
         if a > 0.0:
-            lo = max(lo, con.bound / a)
+            lo = max(lo, end)
         else:
-            hi = min(hi, con.bound / a)
+            hi = min(hi, end)
     if lo <= hi:
         return Feasible(np.array([0.5 * (lo + hi)]), 0)
     return VolumeExhausted(-math.inf, 0)
@@ -241,6 +260,8 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
     )
 
     rows = _PackedRows(sys, cfg.violation_tolerance)
+    # One Cut per violated row, reused by every later cut on that row.
+    row_cuts: dict[int, Cut] = {}
     cuts = 0
     while True:
         hit = find_violated(rows, state.center, cfg.violation_tolerance)
@@ -256,9 +277,12 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
             return IterationCapReached(cuts)
 
         index, con = hit
-        aKa = quadratic_form(state.shape, con.normal)
+        cut = row_cuts.get(index)
+        if cut is None:
+            cut = row_cuts[index] = Cut(con.normal, provenance=index)
+        aKa = quadratic_form(state.shape, con.normal) if cfg.trace is not None else None
         try:
-            state = central_cut_update(state, Cut(con.normal, provenance=index))
+            state = central_cut_update(state, cut)
         except (DegenerateCutError, PDLostError) as exc:
             raise NumericalBreakdown(cuts, str(exc)) from exc
         if cfg.trace is not None:
@@ -303,18 +327,18 @@ def certify(
         if not sys.constraints:
             return CertReport("feasible", True, outcome.iterations, min_slack=math.inf,
                               notes="no constraints")
-        # Margin above the row's floor b - tol*(1+|b|): the predicate that
-        # separation uses, so every row must clear its own tolerance.
-        margins = []
-        for con in sys.constraints:
-            floor = con.bound - row_tolerance(violation_tolerance, con.bound)
-            margins.append(float(con.normal @ outcome.point) - floor)
+        # Margin above the row's floor b - tol*(1+|b|): the predicate and the
+        # product that separation uses, so every row must clear its own
+        # tolerance.  A NaN margin fails.
+        rows = _PackedRows(sys, violation_tolerance)
+        products = rows.A @ outcome.point
+        margins = products - rows.floor
         worst = int(np.argmin(margins))
         return CertReport(
             "feasible",
-            passed=margins[worst] >= 0.0,
+            passed=bool(margins[worst] >= 0.0),
             iterations=outcome.iterations,
-            min_slack=sys.constraints[worst].slack(outcome.point),
+            min_slack=float(products[worst]) - sys.constraints[worst].bound,
             worst_index=worst,
         )
     if isinstance(outcome, VolumeExhausted):

@@ -78,6 +78,38 @@ def test_disjoint_system_exhausts_volume(tmp_path, capsys):
     assert report["certified"] is True
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity (RFC 8259)."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("doc", [
+    # x >= 1 and x <= 0 on the line: the interval path, log-volume -inf.
+    {"dim": 1, "radius": 2.0, "constraints": [
+        {"a": [1.0], "b": 1.0, "sense": ">="},
+        {"a": [1.0], "b": 0.0, "sense": "<="},
+    ]},
+    # No rows: the feasible report's min_slack is +inf.
+    {"dim": 2, "radius": 1.0, "constraints": []},
+])
+def test_json_report_is_strict_json(tmp_path, capsys, doc):
+    path = write_problem(tmp_path, doc)
+    code = main(["--input", path, "--output", "json", "--verify"])
+    report = strict_json(capsys.readouterr().out)
+    if doc["dim"] == 1:
+        assert code == 1
+        assert report["status"] == "volume_exhausted"
+        assert report["final_log_volume"] is None
+        assert report["log_volume_margin"] is None
+    else:
+        assert code == 0
+        assert report["min_slack"] is None
+    assert report["certified"] is True
+
+
 def test_missing_input_file(tmp_path, capsys):
     assert main(["--input", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

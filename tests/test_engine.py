@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsoid.engine import (
+    QF_FLOOR,
     Cut,
     DegenerateCutError,
     EllipsoidState,
@@ -22,7 +23,14 @@ from ellipsoid.engine import (
     step_log_ratio,
     unit_ball,
 )
-from ellipsoid.linalg import NotPositiveDefiniteError, cholesky
+from ellipsoid.linalg import (
+    NotPositiveDefiniteError,
+    as_vector,
+    cholesky,
+    mat_vec,
+    rank1_downdate,
+    symmetrize,
+)
 from instances import random_state, sample_in_ellipsoid, unit_direction
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -242,3 +250,86 @@ def test_incremental_log_volume_matches_audit(seed, n):
     for _ in range(5):
         state = central_cut_update(state, Cut(unit_direction(rng, n)))
     assert state.log_volume == pytest.approx(log_volume_from_shape(state), abs=1e-8)
+
+
+def reference_central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
+    """The original update: re-validates its inputs, symmetrizes the scaled
+    downdate again and certifies PD through the squared pivots."""
+    n = state.dim
+    if n < 2:
+        raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
+    a = as_vector(cut.normal, n)
+
+    K = state.shape
+    Ka = mat_vec(K, a)
+    aKa = float(a @ Ka)
+    if not aKa > QF_FLOOR:
+        raise DegenerateCutError(f"a^T K a = {aKa} is not positive; cut is degenerate")
+
+    alpha = math.sqrt(aKa)
+    center = state.center + Ka / ((n + 1) * alpha)
+    shrunk = rank1_downdate(K, Ka, 2.0 / ((n + 1) * aKa))
+    shape = symmetrize(n * n / (n * n - 1.0) * shrunk)
+    try:
+        L = np.linalg.cholesky(shape)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or not np.all(np.diagonal(L) ** 2 > 0.0):
+        raise PDLostError("updated shape matrix is no longer positive definite")
+    return EllipsoidState(center, shape, state.log_volume + step_log_ratio(n))
+
+
+def assert_same_sequence(state: EllipsoidState, cuts) -> type | None:
+    """Apply ``cuts`` with both updates; results and failures must be identical.
+
+    Returns the breakdown's exception class, or None if every cut applied.
+    """
+    ours = ref = state
+    for cut in cuts:
+        try:
+            ref = reference_central_cut_update(ref, cut)
+        except (DegenerateCutError, PDLostError) as exc:
+            with pytest.raises(type(exc)):
+                central_cut_update(ours, cut)
+            return type(exc)
+        ours = central_cut_update(ours, cut)
+        assert np.array_equal(ours.center, ref.center)
+        assert np.array_equal(ours.shape, ref.shape)
+        assert ours.log_volume == ref.log_volume
+        assert not ours.center.flags.writeable and not ours.shape.flags.writeable
+    return None
+
+
+@given(seeds, dims, st.integers(min_value=1, max_value=20), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_update_is_bit_identical_to_reference(seed, n, count, flat):
+    rng = np.random.default_rng(seed)
+    if flat:
+        # Start a few cuts short of the breakdown of one repeated oblique
+        # cut from the ball, and keep cutting mostly along it: sequences
+        # that often lose PD or degenerate within 20 cuts.
+        u = Cut(unit_direction(rng, n))
+        path = [ball(n, 2.0)]
+        with pytest.raises((DegenerateCutError, PDLostError)):
+            while len(path) < 1000:
+                path.append(reference_central_cut_update(path[-1], u))
+        state = path[max(0, len(path) - 1 - int(rng.integers(0, 20)))]
+        cuts = [u if rng.random() < 0.8 else Cut(unit_direction(rng, n)) for _ in range(count)]
+    else:
+        state = random_state(rng, n)
+        cuts = [Cut(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)) for _ in range(count)]
+    assert_same_sequence(state, cuts)
+
+
+def test_update_breaks_down_where_the_reference_does():
+    # The oblique collapse of test_update_raises_pd_lost_on_genuine_collapse,
+    # and an exactly degenerate cut: same class at the same step.
+    cut = Cut(np.array([math.cos(0.3), math.sin(0.3)]))
+    assert assert_same_sequence(ball(2, 2.0), [cut] * 100) is PDLostError
+    flat = EllipsoidState(np.zeros(2), np.diag([1e-320, 1.0]), 0.0)
+    assert assert_same_sequence(flat, [Cut(np.array([1.0, 0.0]))]) is DegenerateCutError
+
+
+def test_update_checks_cut_length():
+    with pytest.raises(ValueError):
+        central_cut_update(unit_ball(3), Cut(np.array([1.0, 0.0])))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,8 @@ def test_solver_config_validation():
         SolverConfig(epsilon=math.inf)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=1.0, violation_tolerance=-1e-9)
+    with pytest.raises(ValueError):
+        SolverConfig(epsilon=1.0, violation_tolerance=math.nan)
 
 
 def test_find_violated_first_match_rule():
@@ -325,3 +328,104 @@ def test_solve_is_sound_on_random_instances(seed):
         assert isinstance(out, VolumeExhausted)
         assert out.final_log_volume < math.log(eps)
         assert out.iterations <= iteration_cap(n, log_v0, eps)
+    # Asking for a trace must not change the cut sequence or its outcome.
+    records = []
+    traced = solve(sys, SolverConfig(epsilon=eps, trace=records.append))
+    assert type(traced) is type(out) and traced.iterations == out.iterations
+    if isinstance(out, Feasible):
+        np.testing.assert_array_equal(traced.point, out.point)
+    else:
+        assert traced.final_log_volume == out.final_log_volume
+    assert len(records) == out.iterations + isinstance(out, Feasible)
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([0.0, 1e-9, 1e-6]),
+)
+@settings(max_examples=150, deadline=None)
+def test_certify_accepts_exactly_what_separation_accepts(seed, n, m, tol):
+    # Same construction as test_find_violated_matches_per_row_reference:
+    # at x = e_0 many rows sit exactly on their tolerance edge or one ulp
+    # either side of it.
+    rng = np.random.default_rng(seed)
+    b = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-6.0, 6.0, size=m)
+    floor = b - tol * (1.0 + np.abs(b))
+    A = rng.normal(size=(m, n))
+    edge = rng.random(m) < 0.9
+    step = rng.integers(-1, 2, size=m)
+    on_edge = np.where(step < 0, np.nextafter(floor, -np.inf),
+                       np.where(step > 0, np.nextafter(floor, np.inf), floor))
+    A[:, 0] = np.where(edge, on_edge, A[:, 0])
+    sys = LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), 1.0)
+
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    for x in (e0, rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 7.0)):
+        report = certify(Feasible(x, 0), sys, violation_tolerance=tol)
+        assert report.passed == (find_violated(sys, x, tol) is None)
+        if m:
+            # The same slack up to the rounding of a different dot product.
+            con = sys.constraints[report.worst_index]
+            scale = float(np.abs(con.normal) @ np.abs(x)) + abs(con.bound)
+            assert report.min_slack == pytest.approx(con.slack(x), rel=0.0, abs=1e-12 * scale)
+
+
+def test_one_dimensional_solve_honours_tolerance():
+    # x >= 1 and x <= 1 - 1e-12 miss each other by less than the tolerance:
+    # find_violated accepts x = 1, and the same rows in 2-D solve Feasible.
+    rows = (Constraint(np.array([1.0]), 1.0), Constraint(np.array([-1.0]), -(1.0 - 1e-12)))
+    sys = LinearSystem(1, rows, 2.0)
+    assert find_violated(sys, np.array([1.0])) is None
+    out = solve(sys, SolverConfig(epsilon=1e-6))
+    assert isinstance(out, Feasible)
+    assert certify(out, sys).passed
+    assert out.point[0] == pytest.approx(1.0, abs=1e-8)
+
+    planar = LinearSystem(
+        2, tuple(Constraint(np.array([c.normal[0], 0.0]), c.bound) for c in rows), 2.0)
+    assert isinstance(solve(planar, SolverConfig(epsilon=1e-6)), Feasible)
+
+    strict = solve(sys, SolverConfig(epsilon=1e-6, violation_tolerance=0.0))
+    assert isinstance(strict, VolumeExhausted)
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([0.0, 1e-9, 1e-6]),
+    st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_dimensional_solve_matches_exact_interval(seed, m, tol, gap):
+    # Rows a*x >= b cluster around a common point x0, missing or overlapping
+    # it by about ``gap`` relative, so intervals are often nearly empty.
+    rng = np.random.default_rng(seed)
+    radius = float(10.0 ** rng.uniform(-1.0, 3.0))
+    x0 = float(rng.uniform(-1.2, 1.2) * radius)
+    rows = []
+    for _ in range(m):
+        a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        b = a * x0 * (1.0 + gap * rng.uniform(-1.0, 1.0)) + gap * rng.uniform(-1.0, 1.0)
+        rows.append(Constraint(np.array([a]), b))
+    sys = LinearSystem(1, tuple(rows), radius)
+    out = solve(sys, SolverConfig(epsilon=1e-6, violation_tolerance=tol))
+
+    # Exact reference: the interval where a*x >= b - tol*(1+|b|) holds for
+    # every row, within [-R, R], in rational arithmetic.
+    lo, hi = Fraction(-radius), Fraction(radius)
+    for con in rows:
+        a = Fraction(float(con.normal[0]))
+        end = Fraction(con.bound - row_tolerance(tol, con.bound)) / a
+        lo, hi = (max(lo, end), hi) if a > 0 else (lo, min(hi, end))
+    # Within a few ulps of the ends the float and exact answers may differ.
+    fuzz = Fraction(2.0 ** -48) * (1 + abs(lo) + abs(hi))
+    if isinstance(out, Feasible):
+        assert certify(out, sys, violation_tolerance=tol).passed
+        assert lo - fuzz <= Fraction(float(out.point[0])) <= hi + fuzz
+        assert hi - lo >= -fuzz
+    else:
+        assert isinstance(out, VolumeExhausted) and out.final_log_volume == -math.inf
+        assert hi - lo <= fuzz
