@@ -1,10 +1,14 @@
 """
-Cross-checking the solver against brute force
-=============================================
+Cross-checking the solver against an exact oracle
+=================================================
 
-The ellipsoid solver is fast but subtle; the brute-force oracle is slow
-but simple enough to trust on sight.  Run both on a batch of random
-planar systems and compare verdicts.
+The ellipsoid solver is fast but subtle; the oracle is exact and simple
+enough to trust on sight.  The region {A x >= b} meets the bounding ball
+exactly when its least-norm point does, and that point is the projection
+of the origin onto the boundary planes of a few active rows.  The oracle
+tries every such projection at once and keeps the shortest one that
+satisfies every row.  Run both on random systems in dimensions 2 to 4 and
+compare verdicts.
 """
 
 import math
@@ -12,16 +16,11 @@ import math
 import numpy as np
 
 from ellipsoid.engine import ball
-from ellipsoid.oracle import FeasibleWitness, Infeasible, vertex_enumeration_check
+from ellipsoid.oracle import FeasibleWitness, vertex_enumeration_check
 from ellipsoid.solver import Constraint, Feasible, LinearSystem, SolverConfig, solve
 
 rng = np.random.default_rng(7)
 RADIUS = 2.0
-
-# Volume threshold: a thousandth of the bounding disc.  Small enough to
-# separate the verdicts, large enough that an empty slab is closed out in
-# a few dozen cuts.
-EPSILON = 1e-3 * math.exp(ball(2, RADIUS).log_volume)
 
 
 def random_direction(n):
@@ -42,28 +41,38 @@ def random_system(n, feasible):
         u = random_direction(n)
         b = float(rng.uniform(-0.5, 0.5))
         rows = [Constraint(u, b), Constraint(-u, -(b - 0.3))]
+        for _ in range(rng.integers(0, 5)):
+            rows.append(Constraint(random_direction(n), -(RADIUS + 1.0)))
     return LinearSystem(n, tuple(rows), RADIUS)
 
 
 agree = 0
-print("case        solver            oracle            verdicts")
-for i in range(16):
-    feasible = i % 2 == 0
-    system = random_system(2, feasible)
-    outcome = solve(system, SolverConfig(epsilon=EPSILON))
-    verdict = vertex_enumeration_check(system)
+cases = 0
+print("case  dim  rows  solver      oracle      |witness|  verdicts")
+for n in (2, 3, 4):
+    # Volume threshold: a thousandth of the bounding ball.  Small enough to
+    # separate the verdicts, large enough that an empty slab is closed out
+    # in a few dozen cuts.
+    epsilon = 1e-3 * math.exp(ball(n, RADIUS).log_volume)
+    for i in range(6):
+        system = random_system(n, feasible=i % 2 == 0)
+        outcome = solve(system, SolverConfig(epsilon=epsilon))
+        verdict = vertex_enumeration_check(system)
 
-    solver_says = "feasible" if isinstance(outcome, Feasible) else "no point"
-    if isinstance(verdict, FeasibleWitness):
-        oracle_says = "feasible"
-    elif isinstance(verdict, Infeasible):
-        oracle_says = "infeasible"
-    else:
-        oracle_says = "inconclusive"
+        solver_says = "feasible" if isinstance(outcome, Feasible) else "no point"
+        if isinstance(verdict, FeasibleWitness):
+            oracle_says = "feasible"
+            norm = f"{float(np.linalg.norm(verdict.point)):.4f}"
+        else:
+            oracle_says = "infeasible"
+            norm = "-"
 
-    match = (solver_says == "feasible") == (oracle_says == "feasible")
-    agree += match
-    tag = "agree" if match else "DISAGREE"
-    print(f"{i:>4}        {solver_says:<16}  {oracle_says:<16}  {tag}")
+        match = (solver_says == "feasible") == (oracle_says == "feasible")
+        agree += match
+        tag = "agree" if match else "DISAGREE"
+        rows = len(system.constraints)
+        print(f"{cases:>4}  {n:>3}  {rows:>4}  {solver_says:<10}  {oracle_says:<10}  "
+              f"{norm:>9}  {tag}")
+        cases += 1
 
-print(f"\n{agree}/16 cases agree")
+print(f"\n{agree}/{cases} cases agree")

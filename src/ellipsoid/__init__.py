@@ -13,7 +13,7 @@ Layout:
 - :mod:`ellipsoid.linalg`   dense symmetric kernels (Cholesky, PD solves)
 - :mod:`ellipsoid.engine`   ellipsoid state and the central-cut update
 - :mod:`ellipsoid.solver`   the cutting loop, outcomes, certification
-- :mod:`ellipsoid.oracle`   brute-force ground truth for small instances
+- :mod:`ellipsoid.oracle`   exact ground truth for small instances
 - :mod:`ellipsoid.problems` problem-file parsing / serialization
 - :mod:`ellipsoid.svgplot`  2-D SVG rendering of the ellipse sequence
 - :mod:`ellipsoid.cli`      the ``ellipsoid-solve`` command

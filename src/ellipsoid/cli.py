@@ -2,7 +2,7 @@
 
 Reads a JSON problem file, runs the solver, and reports the result as text
 or JSON.  Optionally writes a newline-delimited trace, a 2-D SVG plot of
-the ellipse sequence, and a brute-force oracle cross-check.
+the ellipse sequence, and an exact oracle cross-check (dim <= 4).
 
 Exit statuses: 0 feasible, 1 no feasible point found (volume exhausted or
 iteration cap), 2 input error, 3 numerical breakdown.
@@ -16,7 +16,7 @@ import math
 import sys as _sys
 
 from .engine import Cut, ball, central_cut_update
-from .oracle import FeasibleWitness, Inconclusive, Infeasible, vertex_enumeration_check
+from .oracle import MAX_CONSTRAINTS, MAX_DIM, FeasibleWitness, vertex_enumeration_check
 from .problems import ProblemFormatError, parse_problem, to_linear_system
 from .solver import (
     DEFAULT_VIOLATION_TOL,
@@ -61,20 +61,17 @@ def replay_shapes(sys: LinearSystem, records: list[TraceRecord]):
 
 
 def _oracle_section(sys: LinearSystem, outcome) -> dict:
-    if sys.dim > 4:
-        return {"agreement": "skipped", "reason": "oracle limited to dim <= 4"}
+    if sys.dim > MAX_DIM or len(sys.constraints) > MAX_CONSTRAINTS:
+        reason = f"oracle limited to dim <= {MAX_DIM} and at most {MAX_CONSTRAINTS} rows"
+        return {"agreement": "skipped", "reason": reason}
     verdict = vertex_enumeration_check(sys)
     solver_feasible = isinstance(outcome, Feasible)
     if isinstance(verdict, FeasibleWitness):
         section = {"verdict": "feasible", "witness": verdict.point.tolist()}
         section["agreement"] = "agree" if solver_feasible else "disagree"
-    elif isinstance(verdict, Infeasible):
+    else:
         section = {"verdict": "infeasible"}
         section["agreement"] = "disagree" if solver_feasible else "agree"
-    else:
-        assert isinstance(verdict, Inconclusive)
-        section = {"verdict": "inconclusive", "reason": verdict.reason}
-        section["agreement"] = "inconclusive"
     return section
 
 
@@ -163,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--svg", default=None, help="write an SVG plot here (dim 2 only)")
     parser.add_argument(
         "--verify", action="store_true",
-        help="cross-check with the brute-force oracle (dim <= 4)",
+        help="cross-check with the exact oracle (dim <= 4)",
     )
     return parser
 
@@ -198,13 +195,15 @@ def main(argv=None) -> int:
     if epsilon is None:
         initial = ball(sys.dim, sys.radius)
         epsilon = DEFAULT_EPSILON_FACTOR * math.exp(initial.log_volume)
+    # Trace records are built only for the outputs that read them.
     records: list[TraceRecord] = []
+    wants_records = args.trace is not None or args.svg is not None
     try:
         cfg = SolverConfig(
             epsilon=epsilon,
             max_iterations=args.max_iter,
             violation_tolerance=args.tol,
-            trace=records.append,
+            trace=records.append if wants_records else None,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -1,10 +1,12 @@
 """Dense symmetric linear algebra used by the ellipsoid engine.
 
 Everything works on plain float64 numpy arrays.  Matrices handed to these
-routines are expected to be exactly symmetric; every routine that produces
-a matrix symmetrizes its output so mirrored entries compare bit-for-bit
-equal.  Positive definiteness is decided by a Cholesky factorization with a
-relative pivot tolerance, never by eigenvalues.
+routines are expected to be exactly symmetric, and every matrix they return
+is exactly symmetric too: ``symmetrize`` averages mirrored entries, and
+``M - beta * w w^T`` is symmetric bit for bit when ``M`` is, because
+``w_i * w_j`` and ``w_j * w_i`` round alike.  Positive definiteness is
+decided by a Cholesky factorization with a relative pivot tolerance, never
+by eigenvalues.
 """
 
 from __future__ import annotations
@@ -54,14 +56,14 @@ def quadratic_form(M: np.ndarray, v: np.ndarray) -> float:
 
 
 def rank1_downdate(M: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
-    """Return M - beta * w w^T, symmetrized exactly."""
+    """Return M - beta * w w^T; exactly symmetric when ``M`` is."""
     M = np.asarray(M, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or M.shape != (w.size, w.size):
         raise ValueError(f"dimension mismatch: matrix {M.shape}, vector {w.shape}")
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return symmetrize(M - beta * np.outer(w, w))
+    return M - beta * np.outer(w, w)
 
 
 def cholesky(M: np.ndarray, pivot_tol: float | None = None) -> np.ndarray | None:

@@ -1,18 +1,21 @@
-"""Brute-force ground truth for small feasibility instances.
+"""Exact ground truth for small feasibility instances.
 
-Independent of the cutting loop: candidate points are enumerated from the
-constraint geometry (vertex candidates from n-subsets of boundary
-hyperplanes, sphere crossings from (n-1)-subsets, and the origin), nudged
-slightly into the region interior, and checked against every row.  A dense
-grid scan backs up the negative case.  Verdicts are deterministic for a
-given system.
+Independent of the cutting loop.  The region {x : A x >= b} meets the ball
+B(0, R) exactly when the least-norm point of {A x >= b} has norm <= R, and
+that point is the projection of the origin onto the affine hull of some
+linearly independent set of active rows, of size 0..n (Wolfe, "Finding the
+nearest point in a polytope", Math. Prog. 11, 1976).  The oracle projects
+the origin onto every such hull at once, one batched solve per subset size,
+and keeps the least-norm projection that satisfies every row and the ball.
+Verdicts are exact up to the acceptance tolerance and deterministic for a
+given system.  A dense grid scan remains as an independent, one-sided
+reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Union
 
 import numpy as np
@@ -21,10 +24,6 @@ from .solver import LinearSystem
 
 # Feasibility slack for accepting a candidate, scaled per row by 1 + |b|.
 WITNESS_TOL = 1e-12
-# Inward nudge applied to boundary candidates, as a fraction of R.
-INTERIOR_NUDGE = 1e-7
-# The built-in grid pass uses step R/200 per axis, i.e. 401 points.
-GRID_POINTS = 401
 
 MAX_DIM = 4
 MAX_GRID_DIM = 3
@@ -59,66 +58,6 @@ def _satisfies(sys: LinearSystem, x: np.ndarray) -> bool:
     return True
 
 
-def _plane_vertices(sys: LinearSystem):
-    # Solve every n-subset of active boundaries a_i^T x = b_i.
-    n = sys.dim
-    A = np.array([c.normal for c in sys.constraints])
-    b = np.array([c.bound for c in sys.constraints])
-    for idx in combinations(range(len(sys.constraints)), n):
-        sub = A[list(idx)]
-        try:
-            x = np.linalg.solve(sub, b[list(idx)])
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(x)):
-            yield x, list(idx)
-
-
-def _sphere_crossings(sys: LinearSystem):
-    # Intersect every (n-1)-subset of boundaries with the bounding sphere:
-    # the subset fixes a line p + t*d, then |p + t*d| = R is a quadratic in t.
-    n = sys.dim
-    R = sys.radius
-    if n == 1:
-        yield np.array([-R]), []
-        yield np.array([R]), []
-        return
-    A = np.array([c.normal for c in sys.constraints])
-    b = np.array([c.bound for c in sys.constraints])
-    for idx in combinations(range(len(sys.constraints)), n - 1):
-        sub = A[list(idx)]
-        if np.linalg.matrix_rank(sub, tol=1e-12) < n - 1:
-            continue
-        p, *_ = np.linalg.lstsq(sub, b[list(idx)], rcond=None)
-        _, s, vt = np.linalg.svd(sub)
-        d = vt[-1]
-        # |p + t d|^2 = R^2 with |d| = 1
-        pd = float(p @ d)
-        disc = pd * pd - (float(p @ p) - R * R)
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        for t in (-pd - root, -pd + root):
-            yield p + t * d, list(idx)
-
-
-def _nudged(sys: LinearSystem, x: np.ndarray, active: list[int]) -> np.ndarray:
-    # Push the candidate off its boundaries: average of the active inward
-    # normals, plus the inward ball normal when the candidate sits on the
-    # sphere.
-    direction = np.zeros(sys.dim)
-    for i in active:
-        a = sys.constraints[i].normal
-        direction += a / np.linalg.norm(a)
-    r = float(np.linalg.norm(x))
-    if r > sys.radius * (1.0 - 1e-9) and r > 0.0:
-        direction -= x / r
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        return x
-    return x + (INTERIOR_NUDGE * sys.radius / norm) * direction
-
-
 def _check_limits(sys: LinearSystem, max_dim: int) -> None:
     if sys.dim > max_dim:
         raise ValueError(f"oracle supports dimension <= {max_dim}, got {sys.dim}")
@@ -128,26 +67,51 @@ def _check_limits(sys: LinearSystem, max_dim: int) -> None:
         )
 
 
-def vertex_enumeration_check(sys: LinearSystem) -> OracleVerdict:
-    """Feasibility verdict for n <= 4, m <= 20.
+def _projections(A: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Projection of the origin onto {a_i . x = b_i, i in S} for every k-subset S.
 
-    Returns ``FeasibleWitness`` on the first candidate that survives the
-    nudge-and-check; ``Infeasible`` only when the grid pass (n <= 3) also
-    comes up empty; ``Inconclusive`` otherwise.
+    x = A_S^T lam with (A_S A_S^T) lam = b_S.  Subsets with linearly
+    dependent rows have a singular Gram matrix; they are dropped, because
+    the least-norm point also lies on the hull of an independent subset.
+    """
+    m = len(b)
+    idx = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp)
+    idx = idx.reshape(-1, k)
+    rows = A[idx]
+    gram = rows @ rows.transpose(0, 2, 1)
+    # The Gram matrices are symmetric, so det and solve factor the same
+    # matrix: a zero determinant marks exactly the zero pivots that would
+    # make the batched solve raise.  NaN ones are dropped as well.
+    singular = ~(np.linalg.det(gram) != 0.0)
+    gram[singular] = np.eye(k)
+    lam = np.linalg.solve(gram, b[idx][..., None])
+    return (rows.transpose(0, 2, 1) @ lam)[~singular, :, 0]
+
+
+def vertex_enumeration_check(sys: LinearSystem) -> OracleVerdict:
+    """Exact feasibility verdict for n <= 4, m <= 20.
+
+    Returns ``FeasibleWitness`` at the least-norm point of {A x >= b} when
+    it lies in the ball (every row and the ball hold within ``WITNESS_TOL``,
+    scaled as in ``_satisfies``), ``Infeasible`` otherwise.  It never
+    returns ``Inconclusive``.
     """
     _check_limits(sys, MAX_DIM)
-    candidates = list(_plane_vertices(sys))
-    candidates.extend(_sphere_crossings(sys))
-    candidates.append((np.zeros(sys.dim), []))
-    for x, active in candidates:
-        y = _nudged(sys, x, active)
-        if _satisfies(sys, y):
-            return FeasibleWitness(y)
-    if sys.dim > MAX_GRID_DIM:
-        return Inconclusive("no vertex witness and grid scan unavailable above dim 3")
-    grid = grid_feasibility_scan(sys, GRID_POINTS)
-    if isinstance(grid, FeasibleWitness):
-        return grid
+    n, m = sys.dim, len(sys.constraints)
+    A = np.array([con.normal for con in sys.constraints]).reshape(m, n)
+    b = np.fromiter((con.bound for con in sys.constraints), float, m)
+    # Nearly dependent subsets give huge or non-finite projections; they
+    # fail the check below, so their overflow warnings are noise.
+    with np.errstate(all="ignore"):
+        points = np.concatenate(
+            [np.zeros((1, n))] + [_projections(A, b, k) for k in range(1, min(n, m) + 1)]
+        )
+        norms = np.linalg.norm(points, axis=1)
+        ok = norms <= sys.radius * (1.0 + WITNESS_TOL)
+        ok &= np.all(points @ A.T - b >= -WITNESS_TOL * (1.0 + np.abs(b)), axis=1)
+    for i in np.flatnonzero(ok)[np.argsort(norms[ok], kind="stable")]:
+        if _satisfies(sys, points[i]):
+            return FeasibleWitness(points[i])
     return Infeasible()
 
 

@@ -78,6 +78,29 @@ def test_disjoint_system_exhausts_volume(tmp_path, capsys):
     assert report["certified"] is True
 
 
+def test_trace_records_are_built_only_for_trace_or_svg(tmp_path, capsys, monkeypatch):
+    import ellipsoid.solver
+
+    calls = []
+    quadratic_form = ellipsoid.solver.quadratic_form
+
+    def counting(*args):
+        calls.append(args)
+        return quadratic_form(*args)
+
+    monkeypatch.setattr(ellipsoid.solver, "quadratic_form", counting)
+    path = write_problem(tmp_path, DISJOINT_DOC)
+    argv = ["--input", path, "--epsilon", "1e-6", "--output", "json", "--verify"]
+    assert main(argv) == 1
+    plain = json.loads(capsys.readouterr().out)
+    assert calls == []
+
+    assert main(argv + ["--trace", str(tmp_path / "trace.ndjson")]) == 1
+    traced = json.loads(capsys.readouterr().out)
+    assert len(calls) == traced["iterations"] == 63
+    assert plain == traced
+
+
 def strict_json(text: str):
     """json.loads that rejects NaN, Infinity and -Infinity (RFC 8259)."""
     def reject(name):
@@ -108,6 +131,18 @@ def test_json_report_is_strict_json(tmp_path, capsys, doc):
         assert code == 0
         assert report["min_slack"] is None
     assert report["certified"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 5, "radius": 1.0, "constraints": [{"a": [1.0] * 5, "b": 0.0, "sense": ">="}]},
+    {"dim": 2, "radius": 2.0,
+     "constraints": [{"a": [1.0, float(i)], "b": -5.0, "sense": ">="} for i in range(21)]},
+])
+def test_verify_beyond_oracle_limits_is_skipped(tmp_path, capsys, doc):
+    path = write_problem(tmp_path, doc)
+    assert main(["--input", path, "--output", "json", "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["oracle"]["agreement"] == "skipped"
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -243,6 +243,21 @@ def test_rank1_downdate_output_exactly_symmetric(seed, n):
     assert np.array_equal(D, D.T)
 
 
+@given(seeds, st.integers(min_value=1, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_rank1_downdate_is_the_plain_expression_bitwise(seed, n):
+    # No symmetrize pass: for symmetric M the plain expression is already
+    # exactly symmetric, so averaging its mirrored entries changes no bit.
+    rng = np.random.default_rng(seed)
+    M = random_pd(rng, n) * float(np.exp(rng.uniform(-20.0, 20.0)))
+    w = rng.normal(size=n) * float(np.exp(rng.uniform(-10.0, 10.0)))
+    beta = float(rng.uniform(0.0, 2.0))
+    D = rank1_downdate(M, w, beta)
+    expected = M - beta * np.outer(w, w)
+    assert D.tobytes() == expected.tobytes()
+    assert D.tobytes() == symmetrize(expected).tobytes()
+
+
 @given(seeds, st.integers(min_value=2, max_value=6), st.floats(0.05, 0.9))
 @settings(max_examples=60, deadline=None)
 def test_downdate_matches_determinant_lemma(seed, n, frac):

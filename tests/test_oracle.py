@@ -1,6 +1,9 @@
-"""Tests for the brute-force feasibility oracle."""
+"""Tests for the exact feasibility oracle."""
 
 from __future__ import annotations
+
+import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -107,27 +110,68 @@ def test_dim_4_feasible_found_through_vertices():
     assert_valid_witness(sys, vertex_enumeration_check(sys))
 
 
-def test_dim_4_without_witness_is_inconclusive():
-    # One tight row in dim 4: no boundary intersections exist, the origin
-    # violates the row, and there is no grid fallback above dim 3.
+def test_dim_4_verdicts_are_exact():
+    # One tight row in dim 4: its least-norm point (1.75, 0, 0, 0) is the
+    # witness.  The empty slab has no least-norm point at all.
     tight = LinearSystem(4, (Constraint(np.eye(4)[0], 1.75),), 2.0)
     verdict = vertex_enumeration_check(tight)
-    assert isinstance(verdict, Inconclusive)
-    assert "grid" in verdict.reason
+    assert_valid_witness(tight, verdict)
+    np.testing.assert_array_equal(verdict.point, [1.75, 0.0, 0.0, 0.0])
 
     slab = LinearSystem(
         4,
         (Constraint(np.eye(4)[0], 1.0), Constraint(-np.eye(4)[0], 0.0)),
         2.0,
     )
-    assert isinstance(vertex_enumeration_check(slab), Inconclusive)
+    assert vertex_enumeration_check(slab) == Infeasible()
 
 
 def test_witness_point_on_sphere_boundary():
-    # The only feasible points sit against the bounding sphere, reachable
-    # through the boundary-crossing candidates plus the inward nudge.
+    # The region meets the ball only in a thin cap; its least-norm point
+    # (1.9, 0) is the witness.  At b = R the cap is the single point (R, 0).
     sys = LinearSystem(2, (Constraint(np.array([1.0, 0.0]), 1.9),), 2.0)
     assert_valid_witness(sys, vertex_enumeration_check(sys))
+    touching = LinearSystem(2, (Constraint(np.array([1.0, 0.0]), 2.0),), 2.0)
+    verdict = vertex_enumeration_check(touching)
+    assert_valid_witness(touching, verdict)
+    np.testing.assert_array_equal(verdict.point, [2.0, 0.0])
+    beyond = LinearSystem(2, (Constraint(np.array([1.0, 0.0]), 2.0 + 1e-9),), 2.0)
+    assert vertex_enumeration_check(beyond) == Infeasible()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_degenerate_rows(n):
+    e1 = np.eye(n)[0]
+    # The plane x1 = 1 as two opposite rows: a region of volume zero.
+    plane = LinearSystem(n, (Constraint(e1, 1.0), Constraint(-e1, -1.0)), 2.0)
+    verdict = vertex_enumeration_check(plane)
+    assert_valid_witness(plane, verdict)
+    np.testing.assert_array_equal(verdict.point, e1)
+    # Opposite rows that leave a band, the band repeated three times.
+    band = LinearSystem(n, (Constraint(e1, 0.5), Constraint(-e1, -1.5)) * 3, 2.0)
+    assert_valid_witness(band, vertex_enumeration_check(band))
+    # Opposite rows with no band between them, each row repeated.
+    gap = LinearSystem(n, (Constraint(e1, 1.5), Constraint(-e1, -1.0)) * 4, 2.0)
+    assert vertex_enumeration_check(gap) == Infeasible()
+    # A duplicated row beside its scaled copy.
+    rows = (Constraint(e1, 1.0), Constraint(e1, 1.0), Constraint(3.0 * e1, 3.0))
+    twice = LinearSystem(n, rows, 2.0)
+    assert_valid_witness(twice, vertex_enumeration_check(twice))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dependent_rows_do_not_hide_the_witness(n):
+    # Every n-subset of these rows is linearly dependent (rank n - 1 at
+    # most), so a witness must come from a smaller active set.
+    rng = np.random.default_rng(n)
+    basis = rng.normal(size=(n - 1, n))
+    rows = []
+    for _ in range(8):
+        a = rng.normal(size=n - 1) @ basis
+        rows.append(Constraint(a, float(a @ basis[0]) * 0.1 - 0.05))
+    sys = LinearSystem(n, tuple(rows), 2.0)
+    verdict = vertex_enumeration_check(sys)
+    assert_valid_witness(sys, verdict)
 
 
 @given(seeds)
@@ -159,3 +203,130 @@ def test_oracle_self_consistency(seed):
     full = vertex_enumeration_check(sys)
     if isinstance(coarse, FeasibleWitness):
         assert not isinstance(full, Infeasible)
+
+
+# The oracle before the exact rewrite, kept as an independent reference:
+# boundary vertices and sphere crossings, nudged into the interior, then the
+# origin, then (n <= 3) a 401-point grid scan.  A witness it finds is a
+# point with some interior around it, so the exact oracle must find one too.
+REFERENCE_NUDGE = 1e-7
+REFERENCE_GRID_POINTS = 401
+
+
+def _reference_satisfies(sys: LinearSystem, x: np.ndarray) -> bool:
+    if float(np.linalg.norm(x)) > sys.radius * (1.0 + 1e-12):
+        return False
+    return all(con.slack(x) >= -1e-12 * (1.0 + abs(con.bound)) for con in sys.constraints)
+
+
+def _reference_plane_vertices(sys: LinearSystem):
+    n = sys.dim
+    A = np.array([c.normal for c in sys.constraints])
+    b = np.array([c.bound for c in sys.constraints])
+    for idx in combinations(range(len(sys.constraints)), n):
+        try:
+            x = np.linalg.solve(A[list(idx)], b[list(idx)])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(x)):
+            yield x, list(idx)
+
+
+def _reference_sphere_crossings(sys: LinearSystem):
+    # Each (n-1)-subset of boundaries fixes a line p + t d; |p + t d| = R is
+    # a quadratic in t.
+    n, R = sys.dim, sys.radius
+    if n == 1:
+        yield np.array([-R]), []
+        yield np.array([R]), []
+        return
+    A = np.array([c.normal for c in sys.constraints])
+    b = np.array([c.bound for c in sys.constraints])
+    for idx in combinations(range(len(sys.constraints)), n - 1):
+        sub = A[list(idx)]
+        if np.linalg.matrix_rank(sub, tol=1e-12) < n - 1:
+            continue
+        p, *_ = np.linalg.lstsq(sub, b[list(idx)], rcond=None)
+        d = np.linalg.svd(sub)[2][-1]
+        pd = float(p @ d)
+        disc = pd * pd - (float(p @ p) - R * R)
+        if disc < 0.0:
+            continue
+        root = math.sqrt(disc)
+        for t in (-pd - root, -pd + root):
+            yield p + t * d, list(idx)
+
+
+def _reference_nudged(sys: LinearSystem, x: np.ndarray, active: list[int]) -> np.ndarray:
+    direction = np.zeros(sys.dim)
+    for i in active:
+        a = sys.constraints[i].normal
+        direction += a / np.linalg.norm(a)
+    r = float(np.linalg.norm(x))
+    if r > sys.radius * (1.0 - 1e-9) and r > 0.0:
+        direction -= x / r
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        return x
+    return x + (REFERENCE_NUDGE * sys.radius / norm) * direction
+
+
+def reference_vertex_enumeration_check(sys: LinearSystem):
+    candidates = list(_reference_plane_vertices(sys))
+    candidates.extend(_reference_sphere_crossings(sys))
+    candidates.append((np.zeros(sys.dim), []))
+    for x, active in candidates:
+        y = _reference_nudged(sys, x, active)
+        if _reference_satisfies(sys, y):
+            return FeasibleWitness(y)
+    if sys.dim > 3:
+        return Inconclusive("no vertex witness and grid scan unavailable above dim 3")
+    grid = grid_feasibility_scan(sys, REFERENCE_GRID_POINTS)
+    if isinstance(grid, FeasibleWitness):
+        return grid
+    return Infeasible()
+
+
+def random_planar_system(rng: np.random.Generator) -> LinearSystem:
+    """A 2-D system from one of several families, feasible or not."""
+    kind = int(rng.integers(0, 4))
+    m = int(rng.integers(1, 11))
+    if kind == 0:
+        return feasible_instance(rng, 2, m, rho=float(rng.uniform(1e-4, 0.2)))[0]
+    if kind == 1:
+        return infeasible_instance(rng, 2, max(m, 2))
+    rows = [Constraint(rng.normal(size=2), float(rng.normal(scale=1.5))) for _ in range(m)]
+    if kind == 3:
+        # Duplicated and opposite copies of earlier rows.
+        for con in list(rows):
+            if rng.random() < 0.5:
+                rows.append(Constraint(con.normal, con.bound))
+            else:
+                rows.append(Constraint(-con.normal, -con.bound - float(rng.uniform(-0.5, 0.5))))
+    return LinearSystem(2, tuple(rows[:20]), 2.0)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_exact_oracle_finds_every_reference_witness(seed):
+    sys = random_planar_system(np.random.default_rng(seed))
+    verdict = vertex_enumeration_check(sys)
+    assert isinstance(verdict, (FeasibleWitness, Infeasible))
+    if isinstance(verdict, FeasibleWitness):
+        assert_valid_witness(sys, verdict)
+        assert certify(Feasible(verdict.point, 0), sys).passed
+    if isinstance(reference_vertex_enumeration_check(sys), FeasibleWitness):
+        assert isinstance(verdict, FeasibleWitness)
+
+
+@given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=20))
+@settings(max_examples=60, deadline=None)
+def test_constructed_instances_get_their_verdict(seed, n, m):
+    # Feasible instances hold a ball of radius rho inside the bounding ball;
+    # infeasible ones are empty slabs, also in dim 4.
+    rng = np.random.default_rng(seed)
+    sys, _ = feasible_instance(rng, n, m)
+    verdict = vertex_enumeration_check(sys)
+    assert_valid_witness(sys, verdict)
+    assert certify(Feasible(verdict.point, 0), sys).passed
+    assert vertex_enumeration_check(infeasible_instance(rng, n, m)) == Infeasible()
