@@ -7,8 +7,10 @@ linearly independent set of active rows, of size 0..n (Wolfe, "Finding the
 nearest point in a polytope", Math. Prog. 11, 1976).  The oracle projects
 the origin onto every such hull at once, one batched solve per subset size,
 and keeps the least-norm projection that satisfies every row and the ball.
-Verdicts are exact up to the acceptance tolerance and deterministic for a
-given system.  A dense grid scan remains as an independent, one-sided
+Each projection is solved on the rows themselves (LU or QR, never the
+normal equations), so it meets its own rows to rounding even when they are
+nearly dependent.  Verdicts are exact up to the acceptance tolerance and
+deterministic for a given system.  A dense grid scan remains as an independent, one-sided
 reference.
 """
 
@@ -67,25 +69,40 @@ def _check_limits(sys: LinearSystem, max_dim: int) -> None:
         )
 
 
+def _solve_regular(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``solve(M, rhs)`` and the mask of the matrices it skipped.
+
+    ``det`` and ``solve`` factor the same matrices, so a zero (or NaN)
+    determinant marks exactly the zero pivots that would make the batched
+    solve raise; those matrices are swapped for the identity first.
+    """
+    singular = ~(np.linalg.det(M) != 0.0)
+    M[singular] = np.eye(M.shape[-1])
+    return np.linalg.solve(M, rhs), singular
+
+
 def _projections(A: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Projection of the origin onto {a_i . x = b_i, i in S} for every k-subset S.
 
-    x = A_S^T lam with (A_S A_S^T) lam = b_S.  Subsets with linearly
-    dependent rows have a singular Gram matrix; they are dropped, because
-    the least-norm point also lies on the hull of an independent subset.
+    Each projection is solved on the rows themselves, never on the normal
+    equations (A_S A_S^T), whose conditioning is the square of theirs: the
+    square stack A_S x = b_S when k = n, else x = Q y with A_S^T = Q R and
+    R^T y = b_S.  Both are backward stable, so a projection misses its own
+    rows by rounding only, however nearly dependent they are.  Subsets with
+    exactly dependent rows are dropped: the least-norm point also lies on
+    the hull of an independent subset.
     """
-    m = len(b)
+    m, n = A.shape
     idx = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp)
     idx = idx.reshape(-1, k)
-    rows = A[idx]
-    gram = rows @ rows.transpose(0, 2, 1)
-    # The Gram matrices are symmetric, so det and solve factor the same
-    # matrix: a zero determinant marks exactly the zero pivots that would
-    # make the batched solve raise.  NaN ones are dropped as well.
-    singular = ~(np.linalg.det(gram) != 0.0)
-    gram[singular] = np.eye(k)
-    lam = np.linalg.solve(gram, b[idx][..., None])
-    return (rows.transpose(0, 2, 1) @ lam)[~singular, :, 0]
+    rows, rhs = A[idx], b[idx][..., None]
+    if k == n:
+        x, singular = _solve_regular(rows, rhs)
+    else:
+        q, r = np.linalg.qr(rows.transpose(0, 2, 1))
+        y, singular = _solve_regular(r.transpose(0, 2, 1), rhs)
+        x = q @ y
+    return x[~singular, :, 0]
 
 
 def vertex_enumeration_check(sys: LinearSystem) -> OracleVerdict:
