@@ -332,7 +332,14 @@ def random_planar_system(rng: np.random.Generator, kind: int | None = None) -> L
     return LinearSystem(2, tuple(rows[:20]), 2.0)
 
 
-def assert_agrees_with_reference(sys: LinearSystem) -> None:
+@pytest.mark.parametrize("kind", [None, 4])
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_exact_oracle_finds_every_reference_witness(kind, seed):
+    # kind=None mixes all five families; kind=4 draws the badly conditioned
+    # nearly opposite rows every time (the reference finds a witness in
+    # about a third of them).
+    sys = random_planar_system(np.random.default_rng(seed), kind)
     verdict = vertex_enumeration_check(sys)
     assert isinstance(verdict, (FeasibleWitness, Infeasible))
     if isinstance(verdict, FeasibleWitness):
@@ -340,20 +347,6 @@ def assert_agrees_with_reference(sys: LinearSystem) -> None:
         assert certify(Feasible(verdict.point, 0), sys).passed
     if isinstance(reference_vertex_enumeration_check(sys), FeasibleWitness):
         assert isinstance(verdict, FeasibleWitness)
-
-
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_exact_oracle_finds_every_reference_witness(seed):
-    assert_agrees_with_reference(random_planar_system(np.random.default_rng(seed)))
-
-
-@given(seeds)
-@settings(max_examples=100, deadline=None)
-def test_nearly_opposite_rows_find_every_reference_witness(seed):
-    # The family the mixed test draws only one time in five, drawn every
-    # time: the reference finds a witness in about a third of these systems.
-    assert_agrees_with_reference(random_planar_system(np.random.default_rng(seed), kind=4))
 
 
 @given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=20))
