@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 
-from ellipsoid.engine import Cut, central_cut_update, step_log_ratio, unit_ball
+from ellipsoid.engine import Cut, ball, central_cut_update, step_log_ratio
 
 # The unit disc: center at the origin, shape matrix I, log-volume ln(pi).
-disc = unit_ball(2)
+disc = ball(2, 1.0)
 print("initial center:", disc.center)
 print("initial shape:\n", disc.shape)
 print(f"initial log-volume: {disc.log_volume:.6f} (ln pi = {math.log(math.pi):.6f})")

@@ -15,7 +15,9 @@ import json
 import math
 import sys as _sys
 
-from .engine import Cut, ball, central_cut_update
+import numpy as np
+
+from .engine import ball
 from .oracle import MAX_CONSTRAINTS, MAX_DIM, FeasibleWitness, vertex_enumeration_check
 from .problems import ProblemFormatError, parse_problem, to_linear_system
 from .solver import (
@@ -41,23 +43,19 @@ DEFAULT_EPSILON_FACTOR = 1e-8
 
 
 def replay_shapes(sys: LinearSystem, records: list[TraceRecord]):
-    """Rebuild the ellipsoid sequence from the cut records.
+    """The ellipsoid sequence of a solve: the initial ball, then the
+    ``(center, shape)`` that each cut record holds.
 
-    The trace pins down every update (initial ball plus which row cut when),
-    so re-applying the updates reproduces the exact same states.  Returns
-    [] when no cuts were made: the initial ball coincides with the bounding
-    circle, so there is nothing to plot beyond it.
+    Returns [] when no cuts were made: the initial ball coincides with the
+    bounding circle, so there is nothing to plot beyond it.
     """
     cut_records = [r for r in records if r.violated_index is not None]
     if not cut_records:
         return []
-    state = ball(sys.dim, sys.radius)
-    shapes = [(state.center, state.shape)]
-    for rec in cut_records:
-        con = sys.constraints[rec.violated_index]
-        state = central_cut_update(state, Cut(con.normal, provenance=rec.violated_index))
-        shapes.append((state.center, state.shape))
-    return shapes
+    start = ball(sys.dim, sys.radius)
+    return [(start.center, start.shape)] + [
+        (np.array(rec.center), rec.shape) for rec in cut_records
+    ]
 
 
 def _oracle_section(sys: LinearSystem, outcome) -> dict:

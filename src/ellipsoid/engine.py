@@ -2,8 +2,7 @@
 
 An ellipsoid is the set ``{x : (x - c)^T K^{-1} (x - c) <= 1}`` for a center
 ``c`` and a symmetric positive definite shape matrix ``K``.  The engine never
-forms ``K^{-1}``: membership tests solve against ``K`` and the update works
-on ``K`` directly.
+forms ``K^{-1}``: the update works on ``K`` directly.
 
 Given a cut normal ``a`` (nonzero), the central-cut update replaces the
 current ellipsoid with the smallest-volume ellipsoid containing the half
@@ -33,23 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    NotPositiveDefiniteError,
-    as_vector,
-    cholesky,
-    log_det_pd,
-    mat_vec,
-    rank1_downdate,
-    solve_pd,
-)
+from .linalg import as_vector, cholesky, mat_vec, rank1_downdate
 
 # a^T K a at or below this is treated as a degenerate cut: the square root
 # and the division in the update would be meaningless.
 QF_FLOOR = 1e-300
-
-# Tolerance on the membership quadratic form; strict-vs-nonstrict boundary
-# distinctions are meaningless in floating point.
-CONTAINMENT_SLACK = 1e-9
 
 
 class DegenerateCutError(ArithmeticError):
@@ -69,14 +56,10 @@ def log_unit_ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class Cut:
-    """A half-space boundary through the current center.
-
-    ``provenance`` records which constraint produced the cut (its index), or
-    the string "synthetic" for cuts not tied to any constraint row.
-    """
+    """A half-space boundary through the current center; the normal is
+    validated and frozen on construction."""
 
     normal: np.ndarray
-    provenance: int | str = "synthetic"
 
     def __post_init__(self):
         normal = as_vector(self.normal)
@@ -123,22 +106,14 @@ def _frozen_state(center: np.ndarray, shape: np.ndarray, log_volume: float) -> E
     return state
 
 
-def unit_ball(n: int) -> EllipsoidState:
-    """Unit ball at the origin: center 0, shape I."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return EllipsoidState(np.zeros(n), np.eye(n), log_unit_ball_volume(n))
-
-
-def ball(n: int, radius: float, center=None) -> EllipsoidState:
-    """Ball of given radius: shape = radius^2 * I."""
+def ball(n: int, radius: float) -> EllipsoidState:
+    """Ball of given radius about the origin: shape = radius^2 * I."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not radius > 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    c = np.zeros(n) if center is None else as_vector(center, n)
     log_volume = log_unit_ball_volume(n) + n * math.log(radius)
-    return EllipsoidState(c, radius * radius * np.eye(n), log_volume)
+    return EllipsoidState(np.zeros(n), radius * radius * np.eye(n), log_volume)
 
 
 def step_log_ratio(n: int) -> float:
@@ -181,40 +156,20 @@ def central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
     # downdate is exactly symmetric and a scalar multiple keeps it so.
     shape = n * n / (n * n - 1.0) * rank1_downdate(K, Ka, 2.0 / ((n + 1) * aKa))
 
-    # Certify with strictly positive pivots rather than the relative
-    # tolerance: long one-directional cut sequences drive the condition
-    # number up geometrically while the matrix stays genuinely PD.
-    if cholesky(shape, pivot_tol=0.0) is None:
+    if cholesky(shape) is None:
         raise PDLostError("updated shape matrix is no longer positive definite")
 
     return _frozen_state(center, shape, state.log_volume + step_log_ratio(n))
 
 
-def contains(state: EllipsoidState, x, slack: float = CONTAINMENT_SLACK) -> bool:
-    """Membership test (x - c)^T K^{-1} (x - c) <= 1 + slack via a PD solve."""
-    d = as_vector(x, state.dim) - state.center
-    y = solve_pd(state.shape, d)
-    return float(d @ y) <= 1.0 + slack
-
-
-def log_volume_from_shape(state: EllipsoidState) -> float:
-    """Recompute the log-volume from det K (audit for the incremental value)."""
-    return log_unit_ball_volume(state.dim) + 0.5 * log_det_pd(state.shape)
-
-
 __all__ = [
     "QF_FLOOR",
-    "CONTAINMENT_SLACK",
     "Cut",
     "DegenerateCutError",
     "EllipsoidState",
-    "NotPositiveDefiniteError",
     "PDLostError",
     "ball",
     "central_cut_update",
-    "contains",
     "log_unit_ball_volume",
-    "log_volume_from_shape",
     "step_log_ratio",
-    "unit_ball",
 ]

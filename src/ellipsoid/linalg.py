@@ -2,26 +2,15 @@
 
 Everything works on plain float64 numpy arrays.  Matrices handed to these
 routines are expected to be exactly symmetric, and every matrix they return
-is exactly symmetric too: ``symmetrize`` averages mirrored entries, and
-``M - beta * w w^T`` is symmetric bit for bit when ``M`` is, because
-``w_i * w_j`` and ``w_j * w_i`` round alike.  Positive definiteness is
-decided by a Cholesky factorization with a relative pivot tolerance, never
-by eigenvalues.
+is exactly symmetric too: ``M - beta * w w^T`` is symmetric bit for bit
+when ``M`` is, because ``w_i * w_j`` and ``w_j * w_i`` round alike.
+Positive definiteness is decided by a Cholesky factorization that demands
+strictly positive pivots, never by eigenvalues.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# A pivot counts as positive only if it exceeds this fraction of the largest
-# diagonal entry.  Below that the factorization is declared not-PD rather
-# than letting roundoff produce a garbage factor.
-PIVOT_TOL = 1e-12
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Raised when an operation requires a positive definite matrix."""
-
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate and return ``v`` as a 1-D float64 array with finite entries."""
@@ -33,11 +22,6 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError("vector entries must be finite")
     return out
-
-
-def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Average mirrored entries; the result is bitwise symmetric."""
-    return 0.5 * (M + M.T)
 
 
 def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -66,50 +50,26 @@ def rank1_downdate(M: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
     return M - beta * np.outer(w, w)
 
 
-def cholesky(M: np.ndarray, pivot_tol: float | None = None) -> np.ndarray | None:
+def cholesky(M: np.ndarray) -> np.ndarray | None:
     """Lower-triangular L with L L^T = M, or None when M is not PD.
 
-    By default a factorization is accepted only if every pivot exceeds
-    ``PIVOT_TOL * max(diag(M))``; not-PD is a normal return, not an error.
-    Callers that must factor extremely ill-conditioned but structurally
-    sound matrices can pass ``pivot_tol=0.0`` to demand only strictly
-    positive pivots.
+    Every pivot must be strictly positive; not-PD is a normal return, not an
+    error.  No relative tolerance applies: long one-directional cut
+    sequences drive the condition number up geometrically while the matrix
+    stays genuinely PD.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if pivot_tol is None:
-        tol = PIVOT_TOL * float(np.max(np.diagonal(A)))
-    else:
-        tol = float(pivot_tol)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
     # LAPACK stops only at a pivot <= 0; the squared diagonal of L is the
-    # pivot sequence, so the tolerance is applied to it afterwards.  Squaring
-    # is monotone on the nonnegative diagonal, so testing the least entry
-    # tests them all; NaN propagates through min and is rejected.
+    # pivot sequence, and a square that underflows to 0 is rejected too.
+    # Squaring is monotone on the nonnegative diagonal, so testing the least
+    # entry tests them all; NaN propagates through min and is rejected.
     least = float(np.diagonal(L).min(initial=np.inf))
-    if not least * least > tol:
+    if not least * least > 0.0:
         return None
     return L
-
-
-def log_det_pd(M: np.ndarray) -> float:
-    """ln det M via the Cholesky factor; raises if M is not PD."""
-    L = cholesky(M)
-    if L is None:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    return 2.0 * float(np.sum(np.log(np.diagonal(L))))
-
-
-def solve_pd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M y = rhs for PD ``M`` through its Cholesky factor (two LAPACK solves)."""
-    L = cholesky(M)
-    if L is None:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    b = np.asarray(rhs, dtype=float)
-    if b.ndim != 1 or b.size != L.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {M.shape}, rhs {b.shape}")
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))

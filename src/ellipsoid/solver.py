@@ -15,7 +15,7 @@ certificate data and nothing more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -96,9 +96,11 @@ class LinearSystem:
 class TraceRecord:
     """Per-iteration solve record.
 
-    Cut records carry the violated row, the post-cut center and log-volume,
-    and a^T K a of the cut.  The terminal feasible record has
-    ``violated_index`` and ``cut_quadratic_form`` set to None.
+    Cut records carry the violated row, the post-cut center, shape matrix and
+    log-volume, and a^T K a of the cut.  The terminal feasible record has
+    ``violated_index`` and ``cut_quadratic_form`` set to None and holds the
+    final center and shape.  ``shape`` is the state's own read-only array;
+    :meth:`as_dict` leaves it out.
     """
 
     iter: int
@@ -106,6 +108,7 @@ class TraceRecord:
     center: list[float]
     log_volume: float
     cut_quadratic_form: Optional[float]
+    shape: np.ndarray = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -129,6 +132,8 @@ class SolverConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not self.violation_tolerance >= 0.0:
             raise ValueError("violation_tolerance must be >= 0")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -267,9 +272,9 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
         hit = find_violated(rows, state.center, cfg.violation_tolerance)
         if hit is None:
             if cfg.trace is not None:
-                cfg.trace(
-                    TraceRecord(cuts, None, state.center.tolist(), state.log_volume, None)
-                )
+                cfg.trace(TraceRecord(
+                    cuts, None, state.center.tolist(), state.log_volume, None, state.shape
+                ))
             return Feasible(state.center, cuts)
         if state.log_volume < log_eps:
             return VolumeExhausted(state.log_volume, cuts)
@@ -279,16 +284,16 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
         index, con = hit
         cut = row_cuts.get(index)
         if cut is None:
-            cut = row_cuts[index] = Cut(con.normal, provenance=index)
+            cut = row_cuts[index] = Cut(con.normal)
         aKa = quadratic_form(state.shape, con.normal) if cfg.trace is not None else None
         try:
             state = central_cut_update(state, cut)
         except (DegenerateCutError, PDLostError) as exc:
             raise NumericalBreakdown(cuts, str(exc)) from exc
         if cfg.trace is not None:
-            cfg.trace(
-                TraceRecord(cuts, index, state.center.tolist(), state.log_volume, aKa)
-            )
+            cfg.trace(TraceRecord(
+                cuts, index, state.center.tolist(), state.log_volume, aKa, state.shape
+            ))
         cuts += 1
 
 

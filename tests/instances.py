@@ -5,8 +5,29 @@ from __future__ import annotations
 import numpy as np
 
 from ellipsoid.engine import EllipsoidState, log_unit_ball_volume
-from ellipsoid.linalg import symmetrize
 from ellipsoid.solver import Constraint, LinearSystem
+
+
+def symmetrize(M: np.ndarray) -> np.ndarray:
+    """Average mirrored entries; the result is bitwise symmetric."""
+    return 0.5 * (M + M.T)
+
+
+def contains(state: EllipsoidState, x, slack: float = 1e-9) -> bool:
+    """Membership (x - c)^T K^{-1} (x - c) <= 1 + slack, through chol(K).
+
+    Raises ``np.linalg.LinAlgError`` when the shape matrix is not PD.
+    """
+    L = np.linalg.cholesky(state.shape)
+    y = np.linalg.solve(L, np.asarray(x, dtype=float) - state.center)
+    return float(y @ y) <= 1.0 + slack
+
+
+def log_volume_from_shape(state: EllipsoidState) -> float:
+    """The log-volume recomputed from det K, to audit the running value."""
+    sign, logdet = np.linalg.slogdet(state.shape)
+    assert sign > 0.0
+    return log_unit_ball_volume(state.dim) + 0.5 * float(logdet)
 
 
 def unit_direction(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -22,10 +22,8 @@ from ellipsoid.engine import (
     Cut,
     ball,
     central_cut_update,
-    contains,
     log_unit_ball_volume,
     step_log_ratio,
-    unit_ball,
 )
 from ellipsoid.oracle import Infeasible, vertex_enumeration_check
 from ellipsoid.solver import (
@@ -37,6 +35,7 @@ from ellipsoid.solver import (
     solve,
 )
 from instances import (
+    contains,
     feasible_instance,
     infeasible_instance,
     random_state,
@@ -84,7 +83,7 @@ def infeasible_runs():
 
 
 def test_criterion_1_closed_form_update():
-    new = central_cut_update(unit_ball(2), Cut(np.array([1.0, 0.0])))
+    new = central_cut_update(ball(2, 1.0), Cut(np.array([1.0, 0.0])))
     npt.assert_allclose(new.center, [1.0 / 3.0, 0.0], rtol=0.0, atol=1e-12)
     npt.assert_allclose(
         new.shape, np.diag([4.0 / 9.0, 4.0 / 3.0]), rtol=0.0, atol=1e-12

@@ -184,6 +184,14 @@ def test_iteration_cap_flag(tmp_path, capsys):
     assert report["iterations"] == 3
 
 
+def test_rejects_negative_iteration_cap(tmp_path, capsys):
+    path = write_problem(tmp_path, DISJOINT_DOC)
+    assert main(["--input", path, "--max-iter", "-5"]) == 2
+    assert "max_iterations" in capsys.readouterr().err
+    assert main(["--input", path, "--max-iter", "0", "--output", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["iterations"] == 0
+
+
 def test_trace_file_records_every_step(tmp_path, capsys):
     path = write_problem(tmp_path, FEASIBLE_DOC)
     trace_path = tmp_path / "trace.ndjson"

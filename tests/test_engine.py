@@ -17,61 +17,48 @@ from ellipsoid.engine import (
     PDLostError,
     ball,
     central_cut_update,
-    contains,
-    log_unit_ball_volume,
-    log_volume_from_shape,
     step_log_ratio,
-    unit_ball,
 )
-from ellipsoid.linalg import (
-    NotPositiveDefiniteError,
-    as_vector,
-    cholesky,
-    mat_vec,
-    rank1_downdate,
+from ellipsoid.linalg import as_vector, cholesky, mat_vec, rank1_downdate
+from instances import (
+    contains,
+    log_volume_from_shape,
+    random_state,
+    sample_in_ellipsoid,
     symmetrize,
+    unit_direction,
 )
-from instances import random_state, sample_in_ellipsoid, unit_direction
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
 
 
 def test_unit_ball_log_volumes():
-    assert unit_ball(2).log_volume == pytest.approx(math.log(math.pi), abs=1e-14)
-    assert unit_ball(1).log_volume == pytest.approx(math.log(2.0), abs=1e-14)
-    assert unit_ball(3).log_volume == pytest.approx(
+    assert ball(2, 1.0).log_volume == pytest.approx(math.log(math.pi), abs=1e-14)
+    assert ball(1, 1.0).log_volume == pytest.approx(math.log(2.0), abs=1e-14)
+    assert ball(3, 1.0).log_volume == pytest.approx(
         math.log(4.0 * math.pi / 3.0), abs=1e-14
     )
-    np.testing.assert_array_equal(unit_ball(3).shape, np.eye(3))
-    np.testing.assert_array_equal(unit_ball(3).center, np.zeros(3))
+    np.testing.assert_array_equal(ball(3, 1.0).shape, np.eye(3))
+    np.testing.assert_array_equal(ball(3, 1.0).center, np.zeros(3))
 
 
 def test_ball_log_volumes():
     assert ball(2, 2.0).log_volume == pytest.approx(math.log(4.0 * math.pi), abs=1e-14)
     assert ball(1, 5.0).log_volume == pytest.approx(math.log(10.0), abs=1e-14)
-    b3 = ball(3, 1.0)
-    u3 = unit_ball(3)
-    np.testing.assert_array_equal(b3.center, u3.center)
-    np.testing.assert_array_equal(b3.shape, u3.shape)
-    assert b3.log_volume == u3.log_volume
 
 
-def test_ball_accepts_center_and_validates():
-    b = ball(2, 1.5, center=[1.0, -1.0])
-    np.testing.assert_array_equal(b.center, [1.0, -1.0])
+def test_ball_validates():
     with pytest.raises(ValueError):
-        unit_ball(0)
+        ball(0, 1.0)
     with pytest.raises(ValueError):
         ball(2, 0.0)
-    with pytest.raises(ValueError):
-        ball(2, 1.0, center=[1.0, 2.0, 3.0])
 
 
 def test_state_validates_shapes_and_freezes_arrays():
     with pytest.raises(ValueError):
         EllipsoidState(np.zeros(2), np.eye(3), 0.0)
-    s = unit_ball(2)
+    s = ball(2, 1.0)
     with pytest.raises(ValueError):
         s.center[0] = 1.0
     with pytest.raises(ValueError):
@@ -84,13 +71,10 @@ def test_cut_validates_normal():
         Cut(np.zeros(2))
     with pytest.raises(ValueError):
         Cut(np.array([1.0, math.nan]))
-    c = Cut(np.array([1.0, 0.0]), provenance=3)
-    assert c.provenance == 3
-    assert Cut(np.array([1.0, 0.0])).provenance == "synthetic"
 
 
 def test_single_cut_closed_form():
-    out = central_cut_update(unit_ball(2), Cut(np.array([1.0, 0.0])))
+    out = central_cut_update(ball(2, 1.0), Cut(np.array([1.0, 0.0])))
     np.testing.assert_allclose(out.center, [1.0 / 3.0, 0.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         out.shape, np.diag([4.0 / 9.0, 4.0 / 3.0]), rtol=0, atol=1e-12
@@ -100,7 +84,7 @@ def test_single_cut_closed_form():
 def test_single_cut_axis_swap_and_normal_scaling():
     # The update is invariant under positive scaling of the normal, and the
     # coordinate swap moves the same geometry to the other axis.
-    out = central_cut_update(unit_ball(2), Cut(np.array([0.0, 7.0])))
+    out = central_cut_update(ball(2, 1.0), Cut(np.array([0.0, 7.0])))
     np.testing.assert_allclose(out.center, [0.0, 1.0 / 3.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         out.shape, np.diag([4.0 / 3.0, 4.0 / 9.0]), rtol=0, atol=1e-12
@@ -108,7 +92,7 @@ def test_single_cut_axis_swap_and_normal_scaling():
 
 
 def test_single_cut_log_volume_change():
-    out = central_cut_update(unit_ball(2), Cut(np.array([1.0, 0.0])))
+    out = central_cut_update(ball(2, 1.0), Cut(np.array([1.0, 0.0])))
     change = out.log_volume - math.log(math.pi)
     assert change == pytest.approx(math.log(4.0 / 3.0) + 0.5 * math.log(1.0 / 3.0), abs=1e-12)
     assert change == pytest.approx(step_log_ratio(2), abs=1e-15)
@@ -135,14 +119,14 @@ def test_step_log_ratio_rejects_dim_below_2():
 
 
 def test_contains_reference_values():
-    assert contains(unit_ball(2), np.array([0.6, 0.6]))
-    assert not contains(unit_ball(2), np.array([1.0, 1.0]))
+    assert contains(ball(2, 1.0), np.array([0.6, 0.6]))
+    assert not contains(ball(2, 1.0), np.array([1.0, 1.0]))
     assert contains(ball(2, 2.0), np.array([1.9, 0.0]))
 
 
 def test_contains_requires_pd_shape():
     bad = EllipsoidState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(np.linalg.LinAlgError):
         contains(bad, np.zeros(2))
 
 
@@ -174,7 +158,7 @@ def test_deep_axis_aligned_sequence_stays_factorable():
     cut = Cut(np.array([1.0, 0.0]))
     for _ in range(70):
         state = central_cut_update(state, cut)
-    assert cholesky(state.shape, pivot_tol=0.0) is not None
+    assert cholesky(state.shape) is not None
     assert state.log_volume == pytest.approx(
         ball(2, 2.0).log_volume + 70 * step_log_ratio(2), abs=1e-9
     )
@@ -222,11 +206,15 @@ def test_new_center_sits_at_fixed_depth(seed, n):
 @given(seeds, dims)
 @settings(max_examples=40, deadline=None)
 def test_update_preserves_pd_certification(seed, n):
+    # Every pivot of the factor also clears 1e-12 of the largest diagonal
+    # entry, far above the strictly positive pivots cholesky demands.
     rng = np.random.default_rng(seed)
     state = random_state(rng, n)
-    assert cholesky(state.shape) is not None
     out = central_cut_update(state, Cut(unit_direction(rng, n)))
-    assert cholesky(out.shape) is not None
+    for K in (state.shape, out.shape):
+        L = cholesky(K)
+        assert L is not None
+        assert float(np.diagonal(L).min()) ** 2 > 1e-12 * float(np.max(np.diagonal(K)))
 
 
 @given(seeds, dims)
@@ -332,4 +320,4 @@ def test_update_breaks_down_where_the_reference_does():
 
 def test_update_checks_cut_length():
     with pytest.raises(ValueError):
-        central_cut_update(unit_ball(3), Cut(np.array([1.0, 0.0])))
+        central_cut_update(ball(3, 1.0), Cut(np.array([1.0, 0.0])))

@@ -86,6 +86,9 @@ def test_solver_config_validation():
         SolverConfig(epsilon=1.0, violation_tolerance=-1e-9)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=1.0, violation_tolerance=math.nan)
+    with pytest.raises(ValueError):
+        SolverConfig(epsilon=1.0, max_iterations=-1)
+    assert SolverConfig(epsilon=1.0, max_iterations=0).max_iterations == 0
 
 
 def test_find_violated_first_match_rule():
