@@ -23,6 +23,7 @@ from .problems import ProblemFormatError, parse_problem, to_linear_system
 from .solver import (
     DEFAULT_VIOLATION_TOL,
     Feasible,
+    IterationCapReached,
     LinearSystem,
     NumericalBreakdown,
     SolverConfig,
@@ -63,13 +64,17 @@ def _oracle_section(sys: LinearSystem, outcome) -> dict:
         reason = f"oracle limited to dim <= {MAX_DIM} and at most {MAX_CONSTRAINTS} rows"
         return {"agreement": "skipped", "reason": reason}
     verdict = vertex_enumeration_check(sys)
-    solver_feasible = isinstance(outcome, Feasible)
     if isinstance(verdict, FeasibleWitness):
         section = {"verdict": "feasible", "witness": verdict.point.tolist()}
-        section["agreement"] = "agree" if solver_feasible else "disagree"
     else:
         section = {"verdict": "infeasible"}
-        section["agreement"] = "disagree" if solver_feasible else "agree"
+    if isinstance(outcome, IterationCapReached):
+        # A capped run claims neither answer, so there is nothing to agree with.
+        section["agreement"] = "no_claim"
+    elif isinstance(outcome, Feasible) == isinstance(verdict, FeasibleWitness):
+        section["agreement"] = "agree"
+    else:
+        section["agreement"] = "disagree"
     return section
 
 
@@ -163,10 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: argparse keeps no state between parse_args calls.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
 

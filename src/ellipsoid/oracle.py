@@ -10,13 +10,32 @@ and keeps the least-norm projection that satisfies every row and the ball.
 Each projection is solved on the rows themselves (LU or QR, never the
 normal equations), so it meets its own rows to rounding even when they are
 nearly dependent.  Verdicts are exact up to the acceptance tolerance and
-deterministic for a given system.  A dense grid scan remains as an independent, one-sided
-reference.
+deterministic for a given system.  A dense grid scan remains as an
+independent, one-sided reference.
+
+Presolve.  A projection onto a subset that holds row i lies on that row's
+hyperplane, so its norm is at least |b_i| / ||a_i||.  Rows with
+|b_i| > ||a_i|| R (1 + WITNESS_TOL) (1 + PRESOLVE_SLACK) therefore only
+give candidates outside the ball, and the subsets are enumerated over the
+other rows alone; every row still takes part in the acceptance check.
+PRESOLVE_SLACK (mu = 1e-6, about 1e10 unit roundoffs) covers rounding: a
+computed projection solves its rows up to a per-row backward error, and a
+candidate from a dropped row could pass the norm check only if that error
+exceeded mu ||a_i||.  Householder QR and its triangular solve keep the
+error within a small multiple of n u ||a_i|| per row.  LU with partial
+pivoting (k = n) bounds it by about n u times the growth of the
+factorisation, which stays far below mu unless the rows of one subset
+differ in norm by more than about 1e8; even then, such a
+candidate changes the answer only if it also satisfies every row and is
+shorter than the least-norm point's own candidate.  The kept rows stay in
+their original order, so the surviving subsets keep their order and the
+stable sort by norm picks the same witness as a full enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Union
 
@@ -26,6 +45,8 @@ from .solver import LinearSystem
 
 # Feasibility slack for accepting a candidate, scaled per row by 1 + |b|.
 WITNESS_TOL = 1e-12
+# Relative margin on the presolve's distance test (see the module docstring).
+PRESOLVE_SLACK = 1e-6
 
 MAX_DIM = 4
 MAX_GRID_DIM = 3
@@ -72,13 +93,28 @@ def _check_limits(sys: LinearSystem, max_dim: int) -> None:
 def _solve_regular(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``solve(M, rhs)`` and the mask of the matrices it skipped.
 
-    ``det`` and ``solve`` factor the same matrices, so a zero (or NaN)
-    determinant marks exactly the zero pivots that would make the batched
-    solve raise; those matrices are swapped for the identity first.
+    The stack is factored once when no matrix has a zero pivot.  Otherwise
+    ``det``, which factors the same matrices, marks the zero (or NaN)
+    determinants; those matrices are swapped for the identity and the stack
+    is solved again.  A determinant also reads zero when its pivots
+    underflow, far below the pivots of rows in the oracle's range.
     """
+    try:
+        return np.linalg.solve(M, rhs), np.zeros(len(M), bool)
+    except np.linalg.LinAlgError:
+        pass
     singular = ~(np.linalg.det(M) != 0.0)
     M[singular] = np.eye(M.shape[-1])
     return np.linalg.solve(M, rhs), singular
+
+
+@lru_cache(maxsize=None)
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) in lexicographic order, one per row (read-only)."""
+    idx = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp)
+    idx = idx.reshape(-1, k)
+    idx.flags.writeable = False
+    return idx
 
 
 def _projections(A: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -93,8 +129,7 @@ def _projections(A: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     the hull of an independent subset.
     """
     m, n = A.shape
-    idx = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp)
-    idx = idx.reshape(-1, k)
+    idx = _subsets(m, k)
     rows, rhs = A[idx], b[idx][..., None]
     if k == n:
         x, singular = _solve_regular(rows, rhs)
@@ -117,11 +152,15 @@ def vertex_enumeration_check(sys: LinearSystem) -> OracleVerdict:
     n, m = sys.dim, len(sys.constraints)
     A = np.array([con.normal for con in sys.constraints]).reshape(m, n)
     b = np.fromiter((con.bound for con in sys.constraints), float, m)
+    reach = sys.radius * (1.0 + WITNESS_TOL) * (1.0 + PRESOLVE_SLACK)
+    near = np.abs(b) <= np.linalg.norm(A, axis=1) * reach
+    A_near, b_near = A[near], b[near]
     # Nearly dependent subsets give huge or non-finite projections; they
     # fail the check below, so their overflow warnings are noise.
     with np.errstate(all="ignore"):
         points = np.concatenate(
-            [np.zeros((1, n))] + [_projections(A, b, k) for k in range(1, min(n, m) + 1)]
+            [np.zeros((1, n))]
+            + [_projections(A_near, b_near, k) for k in range(1, min(n, len(b_near)) + 1)]
         )
         norms = np.linalg.norm(points, axis=1)
         ok = norms <= sys.radius * (1.0 + WITNESS_TOL)

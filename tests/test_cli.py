@@ -184,6 +184,20 @@ def test_iteration_cap_flag(tmp_path, capsys):
     assert report["iterations"] == 3
 
 
+def test_iteration_cap_makes_no_claim_for_the_oracle(tmp_path, capsys):
+    # The oracle finds a witness, but a capped run claims neither answer,
+    # so it neither agrees nor disagrees.
+    path = write_problem(tmp_path, FEASIBLE_DOC)
+    argv = ["--input", path, "--max-iter", "0", "--verify"]
+    assert main(argv + ["--output", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "iteration_cap_reached"
+    assert report["oracle"]["verdict"] == "feasible"
+    assert report["oracle"]["agreement"] == "no_claim"
+    assert main(argv) == 1
+    assert "oracle: no_claim" in capsys.readouterr().out
+
+
 def test_rejects_negative_iteration_cap(tmp_path, capsys):
     path = write_problem(tmp_path, DISJOINT_DOC)
     assert main(["--input", path, "--max-iter", "-5"]) == 2
@@ -280,6 +294,20 @@ def test_unknown_flag_exits_2(capsys):
 def test_input_flag_is_required(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = write_problem(tmp_path, FEASIBLE_DOC)
+    good = ["--input", path, "--output", "json", "--verify"]
+    assert main(good) == 0
+    first = capsys.readouterr().out
+    assert main(good + ["--frobnicate"]) == 2
+    assert main(["--help"]) == 0
+    assert main(["--output", "json"]) == 2
+    capsys.readouterr()
+    assert main(good) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["status"] == "feasible"
 
 
 def test_console_script_is_installed():

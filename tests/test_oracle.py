@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellipsoid.oracle
 from ellipsoid.oracle import (
+    PRESOLVE_SLACK,
+    WITNESS_TOL,
     FeasibleWitness,
     Inconclusive,
     Infeasible,
@@ -360,3 +363,142 @@ def test_constructed_instances_get_their_verdict(seed, n, m):
     assert_valid_witness(sys, verdict)
     assert certify(Feasible(verdict.point, 0), sys).passed
     assert vertex_enumeration_check(infeasible_instance(rng, n, m)) == Infeasible()
+
+
+# The exact oracle before its presolve, kept as a reference: it projects the
+# origin onto the hull of every subset of at most n rows, with no row left
+# out, and factors each stack after a determinant test.
+def _reference_solve_regular(M: np.ndarray, rhs: np.ndarray):
+    singular = ~(np.linalg.det(M) != 0.0)
+    M[singular] = np.eye(M.shape[-1])
+    return np.linalg.solve(M, rhs), singular
+
+
+def _reference_projections(A: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    m, n = A.shape
+    idx = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp)
+    idx = idx.reshape(-1, k)
+    rows, rhs = A[idx], b[idx][..., None]
+    if k == n:
+        x, singular = _reference_solve_regular(rows, rhs)
+    else:
+        q, r = np.linalg.qr(rows.transpose(0, 2, 1))
+        y, singular = _reference_solve_regular(r.transpose(0, 2, 1), rhs)
+        x = q @ y
+    return x[~singular, :, 0]
+
+
+def reference_exact_oracle(sys: LinearSystem):
+    n, m = sys.dim, len(sys.constraints)
+    A = np.array([con.normal for con in sys.constraints]).reshape(m, n)
+    b = np.fromiter((con.bound for con in sys.constraints), float, m)
+    with np.errstate(all="ignore"):
+        points = np.concatenate(
+            [np.zeros((1, n))]
+            + [_reference_projections(A, b, k) for k in range(1, min(n, m) + 1)]
+        )
+        norms = np.linalg.norm(points, axis=1)
+        ok = norms <= sys.radius * (1.0 + WITNESS_TOL)
+        ok &= np.all(points @ A.T - b >= -WITNESS_TOL * (1.0 + np.abs(b)), axis=1)
+    for i in np.flatnonzero(ok)[np.argsort(norms[ok], kind="stable")]:
+        if _reference_satisfies(sys, points[i]):
+            return FeasibleWitness(points[i])
+    return Infeasible()
+
+
+def _ulp_steps(x: float, steps: int) -> float:
+    toward = math.inf if steps > 0 else 0.0
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _presolve_distance(rng: np.random.Generator, kind: int, radius: float) -> float:
+    """|b| / ||a|| for one row: inside the ball, at the acceptance radius to
+    a few ulps, at the presolve threshold, or far outside."""
+    limit = radius * (1.0 + WITNESS_TOL)
+    if kind == 0:
+        return float(rng.uniform(0.0, radius))
+    if kind == 1:
+        return _ulp_steps(limit, int(rng.integers(-4, 5)))
+    if kind == 2:
+        past = limit * (1.0 + PRESOLVE_SLACK * float(rng.choice([0.5, 1.0, 1.5, 2.0])))
+        return _ulp_steps(past, int(rng.integers(-4, 5)))
+    return float(rng.uniform(1.5, 10.0)) * radius
+
+
+def presolve_system(rng: np.random.Generator, n: int, m: int, all_far: bool) -> LinearSystem:
+    """Rows with norms from 1e-8 to 1e8 at every kind of distance, plus
+    duplicate, opposite and nearly opposite copies of some of them."""
+    radius = 2.0
+    # The share of rows whose half-space holds the origin.
+    holds = float(rng.uniform(0.6, 1.0))
+    rows = []
+    while len(rows) < m:
+        a = rng.normal(size=n)
+        a *= 10.0 ** float(rng.uniform(-8.0, 8.0)) / float(np.linalg.norm(a))
+        kind = int(rng.integers(2, 4)) if all_far else int(rng.integers(0, 4))
+        # A far row that holds the origin holds on the whole ball (like
+        # padding); one that does not makes the system empty.
+        sign = -1.0 if rng.random() < holds else 1.0
+        norm = float(np.linalg.norm(a))
+        distance = _presolve_distance(rng, kind, radius)
+        b = sign * distance * norm
+        rows.append(Constraint(a, b))
+        copy = int(rng.integers(0, 4))
+        if copy == 1:
+            rows.append(Constraint(a, b))
+        elif copy == 2:
+            # The band b <= a . x <= b + width, empty when width < 0.
+            width = float(rng.uniform(-0.1, 1.0)) * (distance + radius) * norm
+            rows.append(Constraint(-a, -b - width))
+        elif copy == 3 and kind <= 1:
+            bent = -a + 1e-6 * norm * rng.normal(size=n)
+            rows.append(Constraint(bent, -b - float(rng.uniform(-2e-7, 1e-6)) * norm))
+    return LinearSystem(n, tuple(rows[:m]), radius)
+
+
+@given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=20),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_presolve_matches_the_full_enumeration(seed, n, m, all_far):
+    sys = presolve_system(np.random.default_rng(seed), n, m, all_far)
+    verdict, reference = vertex_enumeration_check(sys), reference_exact_oracle(sys)
+    assert type(verdict) is type(reference)
+    if isinstance(reference, FeasibleWitness):
+        assert verdict.point.tobytes() == reference.point.tobytes()
+
+
+def padding_rows(rng: np.random.Generator, n: int, count: int):
+    # a . x >= -3 with |a| = 1 holds on the whole ball of radius 2.
+    return tuple(Constraint(a / np.linalg.norm(a), -3.0) for a in rng.normal(size=(count, n)))
+
+
+def test_presolve_skips_every_subset_with_a_row_beyond_the_ball(monkeypatch):
+    rng = np.random.default_rng(14)
+    e1 = np.eye(4)[0]
+    slab = (Constraint(e1, 1.0), Constraint(-e1, 0.0))
+    sys = LinearSystem(4, slab + padding_rows(rng, 4, 18), 2.0)
+    seen = []
+    projections = ellipsoid.oracle._projections
+
+    def counting(A, b, k):
+        seen.append((A.copy(), k))
+        return projections(A, b, k)
+
+    monkeypatch.setattr(ellipsoid.oracle, "_projections", counting)
+    assert vertex_enumeration_check(sys) == Infeasible()
+    # Only the slab's own rows are enumerated: its one- and two-row subsets.
+    assert [k for _, k in seen] == [1, 2]
+    for A, _ in seen:
+        np.testing.assert_array_equal(A, [e1, -e1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_padding_rows_leave_the_witness_unchanged(n):
+    rng = np.random.default_rng(n)
+    sys, _ = feasible_instance(rng, n, 6)
+    padded = LinearSystem(n, sys.constraints + padding_rows(rng, n, 14), sys.radius)
+    verdict, padded_verdict = vertex_enumeration_check(sys), vertex_enumeration_check(padded)
+    assert_valid_witness(padded, padded_verdict)
+    assert padded_verdict.point.tobytes() == verdict.point.tobytes()
