@@ -2,13 +2,14 @@
 Cross-checking the solver against an exact oracle
 =================================================
 
-The ellipsoid solver is fast but subtle; the oracle is exact and simple
-enough to trust on sight.  The region {A x >= b} meets the bounding ball
-exactly when its least-norm point does, and that point is the projection
-of the origin onto the boundary planes of a few active rows.  The oracle
-tries every such projection at once and keeps the shortest one that
-satisfies every row.  Run both on random systems in dimensions 2 to 4 and
-compare verdicts.
+The ellipsoid solver is fast but subtle; the oracle is exact, and each of
+its answers carries its own proof.  The region {A x >= b} meets the
+bounding ball exactly when its least-norm point does.  The oracle finds
+that point with one least-distance solve (a nonnegative least-squares
+problem): either the point lies in the ball and is checked against every
+row, or the solve's multipliers combine the rows into one inequality that
+no point of the ball can satisfy, checked in exact arithmetic.  Run both
+on random systems in dimensions 2 to 4 and compare verdicts.
 """
 
 import math

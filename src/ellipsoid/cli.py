@@ -2,10 +2,13 @@
 
 Reads a JSON problem file, runs the solver, and reports the result as text
 or JSON.  Optionally writes a newline-delimited trace, a 2-D SVG plot of
-the ellipse sequence, and an exact oracle cross-check (dim <= 4).
+the ellipse sequence, and an exact oracle cross-check (dim <= 40, at most
+240 rows).
 
-Exit statuses: 0 feasible, 1 no feasible point found (volume exhausted or
-iteration cap), 2 input error, 3 numerical breakdown.
+Exit statuses: 0 feasible, 1 no feasible point found (volume exhausted,
+iteration cap, or a numerical breakdown after which the oracle proved the
+region empty: status "infeasible" with its certificate y), 2 input error,
+3 numerical breakdown without such a proof.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ import sys as _sys
 import numpy as np
 
 from .engine import ball
-from .oracle import MAX_CONSTRAINTS, MAX_DIM, FeasibleWitness, vertex_enumeration_check
+from .oracle import (
+    MAX_CONSTRAINTS,
+    MAX_DIM,
+    FeasibleWitness,
+    Infeasible,
+    vertex_enumeration_check,
+)
 from .problems import ProblemFormatError, parse_problem, to_linear_system
 from .solver import (
     DEFAULT_VIOLATION_TOL,
@@ -59,15 +68,21 @@ def replay_shapes(sys: LinearSystem, records: list[TraceRecord]):
     ]
 
 
+def _in_oracle_range(sys: LinearSystem) -> bool:
+    return sys.dim <= MAX_DIM and len(sys.constraints) <= MAX_CONSTRAINTS
+
+
 def _oracle_section(sys: LinearSystem, outcome) -> dict:
-    if sys.dim > MAX_DIM or len(sys.constraints) > MAX_CONSTRAINTS:
+    if not _in_oracle_range(sys):
         reason = f"oracle limited to dim <= {MAX_DIM} and at most {MAX_CONSTRAINTS} rows"
         return {"agreement": "skipped", "reason": reason}
     verdict = vertex_enumeration_check(sys)
     if isinstance(verdict, FeasibleWitness):
         section = {"verdict": "feasible", "witness": verdict.point.tolist()}
-    else:
+    elif isinstance(verdict, Infeasible):
         section = {"verdict": "infeasible"}
+    else:
+        return {"verdict": "inconclusive", "reason": verdict.reason, "agreement": "inconclusive"}
     if isinstance(outcome, IterationCapReached):
         # A capped run claims neither answer, so there is nothing to agree with.
         section["agreement"] = "no_claim"
@@ -76,6 +91,24 @@ def _oracle_section(sys: LinearSystem, outcome) -> dict:
     else:
         section["agreement"] = "disagree"
     return section
+
+
+def _report_breakdown(sys: LinearSystem, exc: NumericalBreakdown, output: str) -> int:
+    """Report a breakdown: as ``infeasible`` (exit 1) when the oracle
+    certifies the region empty, else as ``numerical_breakdown`` (exit 3)."""
+    verdict = vertex_enumeration_check(sys) if _in_oracle_range(sys) else None
+    proved = isinstance(verdict, Infeasible)
+    report = {"status": "infeasible" if proved else "numerical_breakdown",
+              "iteration": exc.iteration, "reason": exc.reason}
+    if proved:
+        report["y"] = verdict.y.tolist()
+    if output == "json":
+        print(json.dumps(report))
+    elif proved:
+        print(f"status: infeasible\nafter {exc}\ncertificate y: {report['y']}")
+    else:
+        print(f"error: {exc}", file=_sys.stderr)
+    return EXIT_NOT_FOUND if proved else EXIT_NUMERICAL
 
 
 def _report(outcome, sys: LinearSystem, cfg: SolverConfig, oracle: dict | None) -> dict:
@@ -163,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--svg", default=None, help="write an SVG plot here (dim 2 only)")
     parser.add_argument(
         "--verify", action="store_true",
-        help="cross-check with the exact oracle (dim <= 4)",
+        help="cross-check with the exact oracle (dim <= 40, at most 240 rows)",
     )
     return parser
 
@@ -218,12 +251,7 @@ def main(argv=None) -> int:
     try:
         outcome = solve(sys, cfg)
     except NumericalBreakdown as exc:
-        if args.output == "json":
-            print(json.dumps({"status": "numerical_breakdown",
-                              "iteration": exc.iteration, "reason": exc.reason}))
-        else:
-            print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_NUMERICAL
+        return _report_breakdown(sys, exc, args.output)
 
     if args.trace is not None:
         try:

@@ -1,56 +1,47 @@
-"""Exact ground truth for small feasibility instances.
+"""Exact ground truth for feasibility instances up to dimension 40 and 240 rows.
 
-Independent of the cutting loop.  The region {x : A x >= b} meets the ball
-B(0, R) exactly when the least-norm point of {A x >= b} has norm <= R, and
-that point is the projection of the origin onto the affine hull of some
-linearly independent set of active rows, of size 0..n (Wolfe, "Finding the
-nearest point in a polytope", Math. Prog. 11, 1976).  The oracle projects
-the origin onto every such hull at once, one batched solve per subset size,
-and keeps the least-norm projection that satisfies every row and the ball.
-Each projection is solved on the rows themselves (LU or QR, never the
-normal equations), so it meets its own rows to rounding even when they are
-nearly dependent.  Verdicts are exact up to the acceptance tolerance and
-deterministic for a given system.  A dense grid scan remains as an
-independent, one-sided reference.
+Independent of the cutting loop.  {A x >= b} meets the ball B(0, R) exactly
+when its least-norm point x* does.  With G, h the rows scaled to unit
+norm, x* solves the least-distance program min ||x|| s.t. G x >= h, which
+Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23) solve as one
+NNLS problem: u >= 0 minimising ||E u - f||, E = [G^T; h^T], f = e_{n+1}.
+If r = E u - f is nonzero, x* = -r[:n] / r[n] lies on the rows with
+u_i > 0, and the witness is the origin's projection onto those rows: the
+point an enumeration of every active set picks (Wolfe, Math. Prog. 11, 1976).
 
-Presolve.  A projection onto a subset that holds row i lies on that row's
-hyperplane, so its norm is at least |b_i| / ||a_i||.  Rows with
-|b_i| > ||a_i|| R (1 + WITNESS_TOL) (1 + PRESOLVE_SLACK) therefore only
-give candidates outside the ball, and the subsets are enumerated over the
-other rows alone; every row still takes part in the acceptance check.
-PRESOLVE_SLACK (mu = 1e-6, about 1e10 unit roundoffs) covers rounding: a
-computed projection solves its rows up to a per-row backward error, and a
-candidate from a dropped row could pass the norm check only if that error
-exceeded mu ||a_i||.  Householder QR and its triangular solve keep the
-error within a small multiple of n u ||a_i|| per row.  LU with partial
-pivoting (k = n) bounds it by about n u times the growth of the
-factorisation, which stays far below mu unless the rows of one subset
-differ in norm by more than about 1e8; even then, such a
-candidate changes the answer only if it also satisfies every row and is
-shorter than the least-norm point's own candidate.  The kept rows stay in
-their original order, so the surviving subsets keep their order and the
-stable sort by norm picks the same witness as a full enumeration.
+Each answer proves itself.  A witness holds every row and the ball within
+``WITNESS_TOL``.  An empty answer carries y = u / ||a_i|| >= 0: a point x
+of the ball with A x >= b would give y.b <= y.A x <= R ||A^T y||, so
+y.b > 0 and (y.b)^2 > R^2 ||A^T y||^2, checked in exact integer arithmetic,
+rule every such x out.  (y is a Farkas ray when {A x >= b} is empty, and
+proportional to the multipliers of x* when x* leaves the ball.)  If neither
+check passes, the verdict is ``Inconclusive``: the oracle never guesses.
+
+Presolve: a row with b_i / ||a_i|| < -R (1 + BALL_MARGIN) holds on a ball
+larger than B(0, R) by far more than rounding, so it is left out of the
+solve.  Both answers stay exact: a witness is checked against every row,
+and a certificate of the kept rows, with y_i = 0 on the others, is one of
+the whole system.  A dense grid scan remains as a one-sided reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations
-from typing import Union
+import math
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
 from .solver import LinearSystem
 
-# Feasibility slack for accepting a candidate, scaled per row by 1 + |b|.
+# Feasibility slack for accepting a witness, scaled per row by 1 + |b|.
 WITNESS_TOL = 1e-12
-# Relative margin on the presolve's distance test (see the module docstring).
-PRESOLVE_SLACK = 1e-6
+# Rows that hold on the ball grown by this relative margin are dropped.
+BALL_MARGIN = 1e-6
 
-MAX_DIM = 4
+MAX_DIM = 40
 MAX_GRID_DIM = 3
-MAX_CONSTRAINTS = 20
+MAX_CONSTRAINTS = 240
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,9 @@ class FeasibleWitness:
 
 @dataclass(frozen=True)
 class Infeasible:
-    pass
+    """No point of the ball satisfies every row; ``y`` is the certificate."""
+
+    y: Optional[np.ndarray] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -71,146 +64,146 @@ class Inconclusive:
 OracleVerdict = Union[FeasibleWitness, Infeasible, Inconclusive]
 
 
-def _satisfies(sys: LinearSystem, x: np.ndarray) -> bool:
-    r = float(np.linalg.norm(x))
-    if r > sys.radius * (1.0 + WITNESS_TOL):
+def _satisfies(A: np.ndarray, b: np.ndarray, radius: float, x: np.ndarray) -> bool:
+    return bool(np.linalg.norm(x) <= radius * (1.0 + WITNESS_TOL)
+                and np.all(A @ x - b >= -WITNESS_TOL * (1.0 + np.abs(b))))
+
+
+def _integers(values: list[float]) -> tuple[list[int], int]:
+    """Integers q and one exponent e with values = q * 2**e exactly (finite values)."""
+    parts = [math.frexp(v) for v in values]
+    q = [int(mantissa * 2.0**53) for mantissa, _ in parts]
+    e = min((p[1] for p, qi in zip(parts, q) if qi), default=0)
+    return [qi << (p[1] - e) if qi else 0 for p, qi in zip(parts, q)], e - 53
+
+
+def _certifies(A: np.ndarray, b: np.ndarray, radius: float, y: np.ndarray) -> bool:
+    """Exactly: y >= 0, y.b > 0 and (y.b)^2 > R^2 ||A^T y||^2."""
+    if not (np.all(np.isfinite(y)) and np.all(y >= 0.0)):
         return False
-    for con in sys.constraints:
-        if con.slack(x) < -WITNESS_TOL * (1.0 + abs(con.bound)):
-            return False
-    return True
+    keep = y != 0.0
+    (Y, ey), (B, eb), (M, ea) = (_integers(v[keep].ravel().tolist()) for v in (y, b, A))
+    (r,), er = _integers([radius])
+    s = sum(yi * bi for yi, bi in zip(Y, B))
+    if s <= 0:
+        return False
+    n = A.shape[1]
+    v2 = sum(sum(yi * aij for yi, aij in zip(Y, M[j::n])) ** 2 for j in range(n))
+    # (y.b)^2 = 2^(2 ey + 2 eb) s^2 and R^2 ||A^T y||^2 = 2^(2 er + 2 ea + 2 ey) r^2 v2.
+    lhs, rhs, shift = s * s, r * r * v2, 2 * (eb - er - ea)
+    return (lhs << shift) > rhs if shift >= 0 else lhs > (rhs << -shift)
 
 
 def _check_limits(sys: LinearSystem, max_dim: int) -> None:
     if sys.dim > max_dim:
         raise ValueError(f"oracle supports dimension <= {max_dim}, got {sys.dim}")
     if len(sys.constraints) > MAX_CONSTRAINTS:
-        raise ValueError(
-            f"oracle supports at most {MAX_CONSTRAINTS} constraints, got {len(sys.constraints)}"
-        )
+        raise ValueError(f"oracle supports at most {MAX_CONSTRAINTS} constraints, "
+                         f"got {len(sys.constraints)}")
 
 
-def _solve_regular(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``solve(M, rhs)`` and the mask of the matrices it skipped.
+def _arrays(sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    m = len(sys.constraints)
+    A = np.array([con.normal for con in sys.constraints]).reshape(m, sys.dim)
+    return A, np.fromiter((con.bound for con in sys.constraints), float, m)
 
-    The stack is factored once when no matrix has a zero pivot.  Otherwise
-    ``det``, which factors the same matrices, marks the zero (or NaN)
-    determinants; those matrices are swapped for the identity and the stack
-    is solved again.  A determinant also reads zero when its pivots
-    underflow, far below the pivots of rows in the oracle's range.
-    """
+
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson NNLS, u >= 0 minimising ||E u - f||, in a bounded
+    number of steps; the caller checks what it gets."""
+    m = E.shape[1]
+    u, passive = np.zeros(m), np.zeros(m, bool)
+    tol = 10.0 * np.finfo(float).eps * max(E.shape) * max(1.0, np.abs(E).sum(0).max(initial=0.0))
+    for _ in range(3 * (m + 1)):
+        w = E.T @ (f - E @ u)
+        w[passive] = -np.inf
+        if not w.max(initial=-np.inf) > tol:
+            break
+        j = int(np.argmax(w))
+        passive[j] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            z = np.linalg.lstsq(E[:, idx], f, rcond=None)[0]
+            if np.all(z > 0.0):
+                u[idx] = z
+                break
+            # Step toward z until the first passive variable reaches zero.
+            ui, neg = u[idx], z <= 0.0
+            ratios = np.where(ui > z, ui / (ui - z), 0.0)[neg]
+            u[idx] = ui + ratios.min() * (z - ui)
+            u[idx[neg][np.argmin(ratios)]] = 0.0
+            passive &= u > 0.0
+            u[~passive] = 0.0
+            if not passive[j]:
+                return u
+    return u
+
+
+def _candidates(A: np.ndarray, b: np.ndarray, active: np.ndarray, r: np.ndarray):
+    """Witness candidates: the projection of the origin onto the active rows
+    (solved as one subset of a full enumeration would be: LU for n rows,
+    else QR of A_S^T, never the normal equations), then -r[:n] / r[n]."""
+    k, n = active.size, A.shape[1]
+    A_S, b_S = A[active], b[active][:, None]
     try:
-        return np.linalg.solve(M, rhs), np.zeros(len(M), bool)
+        if k == 0:
+            yield np.zeros(n)
+        elif k == n:
+            yield np.linalg.solve(A_S, b_S)[:, 0]
+        elif k < n:
+            q, R = np.linalg.qr(A_S.T)
+            yield (q @ np.linalg.solve(R.T, b_S))[:, 0]
     except np.linalg.LinAlgError:
         pass
-    singular = ~(np.linalg.det(M) != 0.0)
-    M[singular] = np.eye(M.shape[-1])
-    return np.linalg.solve(M, rhs), singular
-
-
-@lru_cache(maxsize=None)
-def _subsets(m: int, k: int) -> np.ndarray:
-    """The k-subsets of range(m) in lexicographic order, one per row (read-only)."""
-    idx = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp)
-    idx = idx.reshape(-1, k)
-    idx.flags.writeable = False
-    return idx
-
-
-def _projections(A: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Projection of the origin onto {a_i . x = b_i, i in S} for every k-subset S.
-
-    Each projection is solved on the rows themselves, never on the normal
-    equations (A_S A_S^T), whose conditioning is the square of theirs: the
-    square stack A_S x = b_S when k = n, else x = Q y with A_S^T = Q R and
-    R^T y = b_S.  Both are backward stable, so a projection misses its own
-    rows by rounding only, however nearly dependent they are.  Subsets with
-    exactly dependent rows are dropped: the least-norm point also lies on
-    the hull of an independent subset.
-    """
-    m, n = A.shape
-    idx = _subsets(m, k)
-    rows, rhs = A[idx], b[idx][..., None]
-    if k == n:
-        x, singular = _solve_regular(rows, rhs)
-    else:
-        q, r = np.linalg.qr(rows.transpose(0, 2, 1))
-        y, singular = _solve_regular(r.transpose(0, 2, 1), rhs)
-        x = q @ y
-    return x[~singular, :, 0]
+    yield -r[:n] / r[n]
 
 
 def vertex_enumeration_check(sys: LinearSystem) -> OracleVerdict:
-    """Exact feasibility verdict for n <= 4, m <= 20.
-
-    Returns ``FeasibleWitness`` at the least-norm point of {A x >= b} when
-    it lies in the ball (every row and the ball hold within ``WITNESS_TOL``,
-    scaled as in ``_satisfies``), ``Infeasible`` otherwise.  It never
-    returns ``Inconclusive``.
-    """
+    """Exact feasibility verdict for n <= 40, m <= 240: ``FeasibleWitness``
+    at the least-norm point of {A x >= b} when it passes ``_satisfies``,
+    ``Infeasible`` with a certificate ``y`` that passes ``_certifies``,
+    else ``Inconclusive``."""
     _check_limits(sys, MAX_DIM)
-    n, m = sys.dim, len(sys.constraints)
-    A = np.array([con.normal for con in sys.constraints]).reshape(m, n)
-    b = np.fromiter((con.bound for con in sys.constraints), float, m)
-    reach = sys.radius * (1.0 + WITNESS_TOL) * (1.0 + PRESOLVE_SLACK)
-    near = np.abs(b) <= np.linalg.norm(A, axis=1) * reach
-    A_near, b_near = A[near], b[near]
-    # Nearly dependent subsets give huge or non-finite projections; they
-    # fail the check below, so their overflow warnings are noise.
+    A, b = _arrays(sys)
+    m, n = A.shape
+    norms = np.linalg.norm(A, axis=1)
+    kept = np.flatnonzero(b / norms >= -sys.radius * (1.0 + BALL_MARGIN))
+    E = np.vstack([A[kept].T, b[kept]]) / norms[kept]
+    f = np.eye(n + 1)[n]
+    # Nearly dependent active rows give huge or non-finite points; they
+    # fail the checks below, so their warnings are noise.
     with np.errstate(all="ignore"):
-        points = np.concatenate(
-            [np.zeros((1, n))]
-            + [_projections(A_near, b_near, k) for k in range(1, min(n, len(b_near)) + 1)]
-        )
-        norms = np.linalg.norm(points, axis=1)
-        ok = norms <= sys.radius * (1.0 + WITNESS_TOL)
-        ok &= np.all(points @ A.T - b >= -WITNESS_TOL * (1.0 + np.abs(b)), axis=1)
-    for i in np.flatnonzero(ok)[np.argsort(norms[ok], kind="stable")]:
-        if _satisfies(sys, points[i]):
-            return FeasibleWitness(points[i])
-    return Infeasible()
+        u = _nnls(E, f)
+        for x in _candidates(A, b, kept[u > 0.0], E @ u - f):
+            if _satisfies(A, b, sys.radius, x):
+                return FeasibleWitness(x)
+    y = np.zeros(m)
+    y[kept] = u / norms[kept]
+    if _certifies(A, b, sys.radius, y):
+        return Infeasible(y)
+    return Inconclusive("least-distance solve gave neither a witness nor a certificate")
 
 
 def grid_feasibility_scan(sys: LinearSystem, steps_per_axis: int) -> OracleVerdict:
-    """Scan the axis-aligned grid over [-R, R]^n for a feasible point.
-
-    A hit is a proof; a miss is only ``Inconclusive``.
-    """
+    """Scan the axis-aligned grid over [-R, R]^n for a feasible point: a hit
+    is a proof, a miss only ``Inconclusive``."""
     _check_limits(sys, MAX_GRID_DIM)
     if steps_per_axis < 2:
         raise ValueError(f"steps_per_axis must be >= 2, got {steps_per_axis}")
+    A, b = _arrays(sys)
     axis = np.linspace(-sys.radius, sys.radius, steps_per_axis)
-    n = sys.dim
-    A = np.array([c.normal for c in sys.constraints]) if sys.constraints else None
-    b = np.array([c.bound for c in sys.constraints]) if sys.constraints else None
-    tol = (
-        WITNESS_TOL * (1.0 + np.abs(b)) if b is not None else None
-    )
-    r_max = sys.radius * (1.0 + WITNESS_TOL)
-
     # One x_1-slice at a time keeps memory flat; within a slice everything
     # is vectorized.
-    tail = np.stack(
-        [g.ravel() for g in np.meshgrid(*([axis] * (n - 1)), indexing="ij")], axis=-1
-    ) if n > 1 else np.zeros((1, 0))
+    grid = np.meshgrid(*([axis] * (sys.dim - 1)), indexing="ij")
+    tail = np.stack([g.ravel() for g in grid], axis=-1) if grid else np.zeros((1, 0))
     for x0 in axis:
-        pts = np.concatenate(
-            [np.full((tail.shape[0], 1), x0), tail], axis=1
-        )
-        ok = np.linalg.norm(pts, axis=1) <= r_max
-        if A is not None:
-            ok &= np.all(pts @ A.T - b >= -tol, axis=1)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return FeasibleWitness(pts[hits[0]])
+        pts = np.column_stack([np.full(len(tail), x0), tail])
+        ok = np.linalg.norm(pts, axis=1) <= sys.radius * (1.0 + WITNESS_TOL)
+        ok &= np.all(pts @ A.T - b >= -WITNESS_TOL * (1.0 + np.abs(b)), axis=1)
+        if ok.any():
+            return FeasibleWitness(pts[np.argmax(ok)])
     return Inconclusive("no grid witness")
 
 
-__all__ = [
-    "FeasibleWitness",
-    "Inconclusive",
-    "Infeasible",
-    "OracleVerdict",
-    "grid_feasibility_scan",
-    "vertex_enumeration_check",
-]
+__all__ = ["FeasibleWitness", "Inconclusive", "Infeasible", "OracleVerdict",
+           "grid_feasibility_scan", "vertex_enumeration_check"]

@@ -8,11 +8,16 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import ellipsoid.oracle
 from ellipsoid.cli import main
-from ellipsoid.engine import step_log_ratio
+from ellipsoid.engine import ball, step_log_ratio
+from ellipsoid.problems import parse_problem, to_linear_system
+from instances import feasible_instance, infeasible_instance
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -134,15 +139,52 @@ def test_json_report_is_strict_json(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("doc", [
-    {"dim": 5, "radius": 1.0, "constraints": [{"a": [1.0] * 5, "b": 0.0, "sense": ">="}]},
+    {"dim": 41, "radius": 1.0, "constraints": [{"a": [1.0] * 41, "b": 0.0, "sense": ">="}]},
     {"dim": 2, "radius": 2.0,
-     "constraints": [{"a": [1.0, float(i)], "b": -5.0, "sense": ">="} for i in range(21)]},
+     "constraints": [{"a": [1.0, float(i)], "b": -5.0, "sense": ">="} for i in range(241)]},
 ])
 def test_verify_beyond_oracle_limits_is_skipped(tmp_path, capsys, doc):
     path = write_problem(tmp_path, doc)
     assert main(["--input", path, "--output", "json", "--verify"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["oracle"]["agreement"] == "skipped"
+    assert "dim <= 40 and at most 240 rows" in report["oracle"]["reason"]
+
+
+def system_doc(system) -> dict:
+    return {"dim": system.dim, "radius": system.radius, "constraints": [
+        {"a": con.normal.tolist(), "b": con.bound, "sense": ">="} for con in system.constraints]}
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_verify_agrees_in_ten_dimensions(tmp_path, capsys, feasible):
+    rng = np.random.default_rng(10)
+    system = feasible_instance(rng, 10, 30)[0] if feasible else infeasible_instance(rng, 10, 30)
+    path = write_problem(tmp_path, system_doc(system))
+    # A thousandth of the initial volume closes out the empty slab before
+    # the cuts break down.
+    epsilon = 1e-3 * math.exp(ball(10, system.radius).log_volume)
+    code = main(["--input", path, "--output", "json", "--verify", "--epsilon", repr(epsilon)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (0 if feasible else 1)
+    assert report["status"] == ("feasible" if feasible else "volume_exhausted")
+    assert report["oracle"]["verdict"] == ("feasible" if feasible else "infeasible")
+    assert report["oracle"]["agreement"] == "agree"
+
+
+def test_failed_nnls_is_inconclusive(tmp_path, capsys, monkeypatch):
+    # An NNLS that returns garbage gives neither a witness nor a
+    # certificate; the oracle says so instead of guessing.
+    monkeypatch.setattr(ellipsoid.oracle, "_nnls", lambda E, f: np.full(E.shape[1], np.nan))
+    path = write_problem(tmp_path, DISJOINT_DOC)
+    system = to_linear_system(parse_problem(json.dumps(DISJOINT_DOC).encode()))
+    verdict = ellipsoid.oracle.vertex_enumeration_check(system)
+    assert isinstance(verdict, ellipsoid.oracle.Inconclusive) and verdict.reason
+    assert main(["--input", path, "--output", "json", "--verify", "--epsilon", "1e-6"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "volume_exhausted"
+    assert report["oracle"] == {"verdict": "inconclusive", "reason": verdict.reason,
+                                "agreement": "inconclusive"}
 
 
 def test_missing_input_file(tmp_path, capsys):
@@ -261,24 +303,61 @@ def test_svg_without_cuts_has_no_ellipses(tmp_path, capsys):
 
 
 def test_numerical_breakdown_exits_3(tmp_path, capsys):
-    # An empty slab tilted off the axes: repeated opposing cuts along one
-    # direction degrade the shape matrix until factorization genuinely fails
-    # before the volume threshold is reached.
+    # A thin non-empty slab tilted off the axes: repeated opposing cuts
+    # degrade the shape matrix until factorization genuinely fails before
+    # the (tiny) volume threshold is reached, and the oracle finds a
+    # witness, so there is no certificate to report instead.
     u = [math.cos(0.3), math.sin(0.3)]
     doc = {
         "dim": 2,
         "radius": 2.0,
         "constraints": [
-            {"a": u, "b": 0.5, "sense": ">="},
-            {"a": u, "b": 0.3, "sense": "<="},
+            {"a": u, "b": 0.3, "sense": ">="},
+            {"a": u, "b": 0.3 + 1e-9, "sense": "<="},
         ],
     }
     path = write_problem(tmp_path, doc)
-    assert main(["--input", path, "--output", "json"]) == 3
+    assert main(["--input", path, "--output", "json", "--epsilon", "1e-40"]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "numerical_breakdown"
     assert report["iteration"] > 10
     assert report["reason"]
+
+
+# An empty slab tilted off the axes: at the default epsilon the cuts break
+# down before the volume runs out.
+TILTED_SLAB_DOC = {
+    "dim": 2,
+    "radius": 2.0,
+    "constraints": [
+        {"a": [math.cos(0.3), math.sin(0.3)], "b": 0.5, "sense": ">="},
+        {"a": [math.cos(0.3), math.sin(0.3)], "b": 0.3, "sense": "<="},
+    ],
+}
+
+
+def test_breakdown_on_an_empty_slab_reports_its_certificate(tmp_path, capsys):
+    path = write_problem(tmp_path, TILTED_SLAB_DOC)
+    assert main(["--input", path, "--output", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "infeasible"
+    assert report["iteration"] > 10
+    assert report["reason"]
+    # y >= 0 proves that no point of the ball holds both rows: any such x
+    # gives y.b <= y.(A x) <= R ||A^T y||, and y.b exceeds R ||A^T y||.
+    c, s = Fraction(math.cos(0.3)), Fraction(math.sin(0.3))
+    A = [(c, s), (-c, -s)]
+    b = [Fraction(0.5), Fraction(-0.3)]
+    y = [Fraction(v) for v in report["y"]]
+    assert len(y) == 2 and all(v >= 0 for v in y)
+    yb = sum(v * bi for v, bi in zip(y, b))
+    ATy = [sum(v * row[j] for v, row in zip(y, A)) for j in range(2)]
+    assert yb > 0 and yb * yb > Fraction(2) ** 2 * sum(t * t for t in ATy)
+
+    assert main(["--input", path]) == 1
+    out = capsys.readouterr().out
+    assert "status: infeasible" in out
+    assert "certificate y: [" in out
 
 
 def test_help_exits_zero(capsys):

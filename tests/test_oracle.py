@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 import ellipsoid.oracle
 from ellipsoid.oracle import (
-    PRESOLVE_SLACK,
+    BALL_MARGIN,
+    MAX_CONSTRAINTS,
+    MAX_DIM,
     WITNESS_TOL,
     FeasibleWitness,
     Inconclusive,
@@ -66,11 +69,15 @@ def test_vertex_enumeration_reference_verdicts():
 
 
 def test_vertex_enumeration_enforces_limits():
+    assert (MAX_DIM, MAX_CONSTRAINTS) == (40, 240)
     with pytest.raises(ValueError):
-        vertex_enumeration_check(LinearSystem(5, (), 1.0))
-    rows = tuple(Constraint(np.array([1.0, 0.0]), -3.0) for _ in range(21))
+        vertex_enumeration_check(LinearSystem(MAX_DIM + 1, (), 1.0))
+    rows = tuple(Constraint(np.array([1.0, 0.0]), -3.0) for _ in range(MAX_CONSTRAINTS + 1))
     with pytest.raises(ValueError):
         vertex_enumeration_check(LinearSystem(2, rows, 1.0))
+    edge = LinearSystem(MAX_DIM, tuple(Constraint(np.eye(MAX_DIM)[i % MAX_DIM], -3.0)
+                                       for i in range(MAX_CONSTRAINTS)), 1.0)
+    assert isinstance(vertex_enumeration_check(edge), FeasibleWitness)
 
 
 def test_grid_scan_reference_verdicts():
@@ -365,9 +372,10 @@ def test_constructed_instances_get_their_verdict(seed, n, m):
     assert vertex_enumeration_check(infeasible_instance(rng, n, m)) == Infeasible()
 
 
-# The exact oracle before its presolve, kept as a reference: it projects the
-# origin onto the hull of every subset of at most n rows, with no row left
-# out, and factors each stack after a determinant test.
+# The subset-enumeration oracle, kept as a reference for the least-distance
+# one: it projects the origin onto the hull of every subset of at most n
+# rows, with no row left out, and factors each stack after a determinant
+# test.
 def _reference_solve_regular(M: np.ndarray, rhs: np.ndarray):
     singular = ~(np.linalg.det(M) != 0.0)
     M[singular] = np.eye(M.shape[-1])
@@ -415,14 +423,14 @@ def _ulp_steps(x: float, steps: int) -> float:
 
 def _presolve_distance(rng: np.random.Generator, kind: int, radius: float) -> float:
     """|b| / ||a|| for one row: inside the ball, at the acceptance radius to
-    a few ulps, at the presolve threshold, or far outside."""
+    a few ulps, around the presolve's BALL_MARGIN threshold, or far outside."""
     limit = radius * (1.0 + WITNESS_TOL)
     if kind == 0:
         return float(rng.uniform(0.0, radius))
     if kind == 1:
         return _ulp_steps(limit, int(rng.integers(-4, 5)))
     if kind == 2:
-        past = limit * (1.0 + PRESOLVE_SLACK * float(rng.choice([0.5, 1.0, 1.5, 2.0])))
+        past = radius * (1.0 + BALL_MARGIN * float(rng.choice([0.5, 1.0, 1.5, 2.0])))
         return _ulp_steps(past, int(rng.integers(-4, 5)))
     return float(rng.uniform(1.5, 10.0)) * radius
 
@@ -458,15 +466,68 @@ def presolve_system(rng: np.random.Generator, n: int, m: int, all_far: bool) -> 
     return LinearSystem(n, tuple(rows[:m]), radius)
 
 
+def exact_witness(sys: LinearSystem, x: np.ndarray) -> bool:
+    """Whether x lies in the ball and holds every row, in exact arithmetic."""
+    X = [Fraction(v) for v in x.tolist()]
+    if sum(v * v for v in X) > Fraction(sys.radius) ** 2:
+        return False
+    return all(
+        sum(Fraction(a) * v for a, v in zip(con.normal.tolist(), X)) >= Fraction(con.bound)
+        for con in sys.constraints
+    )
+
+
+def exact_certificate(A: np.ndarray, b: np.ndarray, radius: float, y: np.ndarray) -> bool:
+    """y >= 0, y.b > 0 and (y.b)^2 > R^2 ||A^T y||^2, in exact arithmetic."""
+    Y = [Fraction(v) for v in y.tolist()]
+    if any(v < 0 for v in Y):
+        return False
+    s = sum((v * Fraction(bi) for v, bi in zip(Y, b.tolist())), Fraction(0))
+    column = [sum((v * Fraction(a) for v, a in zip(Y, A[:, j].tolist())), Fraction(0))
+              for j in range(A.shape[1])]
+    return s > 0 and s * s > Fraction(radius) ** 2 * sum(c * c for c in column)
+
+
+@given(seeds, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=8),
+       st.floats(min_value=-1e-15, max_value=1e-15))
+@settings(max_examples=300, deadline=None)
+def test_integer_certificate_check_equals_fractions(seed, n, m, tilt):
+    # Rows scaled by e^+-8, some multipliers zero (all of them, or none at
+    # m = 0), and y.b moved to within about `tilt` of R ||A^T y||, where
+    # the float products cannot tell the answer.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n)) * np.exp(rng.uniform(-8.0, 8.0, size=(m, 1)))
+    b = rng.normal(size=m) * np.exp(rng.uniform(-8.0, 8.0, size=m))
+    y = rng.exponential(size=m) * (rng.random(m) < 0.7)
+    radius = float(np.exp(rng.uniform(-2.0, 2.0)))
+    if m and rng.random() < 0.7 and y @ y > 0.0:
+        target = radius * float(np.linalg.norm(A.T @ y)) * (1.0 + tilt)
+        b = b + (target - float(y @ b)) * y / float(y @ y)
+    if m and rng.random() < 0.1:
+        y[int(rng.integers(0, m))] = -1.0
+    assert ellipsoid.oracle._certifies(A, b, radius, y) == exact_certificate(A, b, radius, y)
+
+
 @given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=20),
        st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_presolve_matches_the_full_enumeration(seed, n, m, all_far):
+def test_ldp_oracle_matches_the_full_enumeration(seed, n, m, all_far):
     sys = presolve_system(np.random.default_rng(seed), n, m, all_far)
     verdict, reference = vertex_enumeration_check(sys), reference_exact_oracle(sys)
-    assert type(verdict) is type(reference)
-    if isinstance(reference, FeasibleWitness):
-        assert verdict.point.tobytes() == reference.point.tobytes()
+    # Each verdict proves itself: a witness within the tolerance, or a
+    # certificate that holds exactly.
+    if isinstance(verdict, FeasibleWitness):
+        assert_valid_witness(sys, verdict)
+    else:
+        assert isinstance(verdict, Infeasible)
+        assert exact_certificate(*ellipsoid.oracle._arrays(sys), sys.radius, verdict.y)
+    same = type(verdict) is type(reference) and (
+        isinstance(verdict, Infeasible) or verdict.point.tobytes() == reference.point.tobytes())
+    if same:
+        return
+    # The two oracles may part only over a witness that needs the tolerance.
+    witnesses = [v.point for v in (verdict, reference) if isinstance(v, FeasibleWitness)]
+    assert not all(exact_witness(sys, x) for x in witnesses)
 
 
 def padding_rows(rng: np.random.Generator, n: int, count: int):
@@ -474,24 +535,27 @@ def padding_rows(rng: np.random.Generator, n: int, count: int):
     return tuple(Constraint(a / np.linalg.norm(a), -3.0) for a in rng.normal(size=(count, n)))
 
 
-def test_presolve_skips_every_subset_with_a_row_beyond_the_ball(monkeypatch):
+def test_padding_rows_never_reach_the_nnls(monkeypatch):
     rng = np.random.default_rng(14)
     e1 = np.eye(4)[0]
     slab = (Constraint(e1, 1.0), Constraint(-e1, 0.0))
     sys = LinearSystem(4, slab + padding_rows(rng, 4, 18), 2.0)
     seen = []
-    projections = ellipsoid.oracle._projections
+    nnls = ellipsoid.oracle._nnls
 
-    def counting(A, b, k):
-        seen.append((A.copy(), k))
-        return projections(A, b, k)
+    def recording(E, f):
+        seen.append(E.copy())
+        return nnls(E, f)
 
-    monkeypatch.setattr(ellipsoid.oracle, "_projections", counting)
-    assert vertex_enumeration_check(sys) == Infeasible()
-    # Only the slab's own rows are enumerated: its one- and two-row subsets.
-    assert [k for _, k in seen] == [1, 2]
-    for A, _ in seen:
-        np.testing.assert_array_equal(A, [e1, -e1])
+    monkeypatch.setattr(ellipsoid.oracle, "_nnls", recording)
+    verdict = vertex_enumeration_check(sys)
+    assert verdict == Infeasible()
+    # Only the slab's own rows, scaled to unit norm, with their bounds below.
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], [[1.0, -1.0], [0, 0], [0, 0], [0, 0], [1.0, 0.0]])
+    # The certificate puts no weight on the padding.
+    assert np.all(verdict.y[2:] == 0.0)
+    assert exact_certificate(*ellipsoid.oracle._arrays(sys), sys.radius, verdict.y)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
