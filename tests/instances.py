@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ellipsoid.engine import EllipsoidState, log_unit_ball_volume
+from ellipsoid.engine import (
+    QF_FLOOR,
+    Cut,
+    DegenerateCutError,
+    EllipsoidState,
+    PDLostError,
+    log_unit_ball_volume,
+    step_log_ratio,
+)
 from ellipsoid.solver import Constraint, LinearSystem
 
 
@@ -60,6 +70,39 @@ def sample_in_ellipsoid(
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / n)
     return state.center + (g * r) @ L.T
+
+
+def reference_central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
+    """The central-cut update in plain numpy, independent of ``ellipsoid.linalg``.
+
+    It re-validates its inputs, symmetrizes the scaled downdate again and
+    certifies PD through the squared pivots of ``np.linalg.cholesky``.
+    """
+    n = state.center.size
+    if n < 2:
+        raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
+    a = np.asarray(cut.normal, dtype=float)
+    if a.shape != (n,) or not np.all(np.isfinite(a)):
+        raise ValueError(f"cut normal of shape {a.shape} does not fit dimension {n}")
+
+    K = state.shape
+    Ka = K @ a
+    aKa = float(a @ Ka)
+    if not aKa > QF_FLOOR:
+        raise DegenerateCutError(f"a^T K a = {aKa} is not positive; cut is degenerate")
+
+    alpha = math.sqrt(aKa)
+    center = state.center + Ka / ((n + 1) * alpha)
+    beta = 2.0 / ((n + 1) * aKa)
+    shrunk = K - beta * np.outer(Ka, Ka)
+    shape = symmetrize(n * n / (n * n - 1.0) * shrunk)
+    try:
+        L = np.linalg.cholesky(shape)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or not np.all(np.diagonal(L) ** 2 > 0.0):
+        raise PDLostError("updated shape matrix is no longer positive definite")
+    return EllipsoidState(center, shape, state.log_volume + step_log_ratio(n))
 
 
 def feasible_instance(

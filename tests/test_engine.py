@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsoid.engine import (
-    QF_FLOOR,
     Cut,
     DegenerateCutError,
     EllipsoidState,
@@ -19,13 +18,13 @@ from ellipsoid.engine import (
     central_cut_update,
     step_log_ratio,
 )
-from ellipsoid.linalg import as_vector, cholesky, mat_vec, rank1_downdate
+from ellipsoid.linalg import cholesky
 from instances import (
     contains,
     log_volume_from_shape,
     random_state,
+    reference_central_cut_update,
     sample_in_ellipsoid,
-    symmetrize,
     unit_direction,
 )
 
@@ -238,33 +237,6 @@ def test_incremental_log_volume_matches_audit(seed, n):
     for _ in range(5):
         state = central_cut_update(state, Cut(unit_direction(rng, n)))
     assert state.log_volume == pytest.approx(log_volume_from_shape(state), abs=1e-8)
-
-
-def reference_central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
-    """The original update: re-validates its inputs, symmetrizes the scaled
-    downdate again and certifies PD through the squared pivots."""
-    n = state.dim
-    if n < 2:
-        raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
-    a = as_vector(cut.normal, n)
-
-    K = state.shape
-    Ka = mat_vec(K, a)
-    aKa = float(a @ Ka)
-    if not aKa > QF_FLOOR:
-        raise DegenerateCutError(f"a^T K a = {aKa} is not positive; cut is degenerate")
-
-    alpha = math.sqrt(aKa)
-    center = state.center + Ka / ((n + 1) * alpha)
-    shrunk = rank1_downdate(K, Ka, 2.0 / ((n + 1) * aKa))
-    shape = symmetrize(n * n / (n * n - 1.0) * shrunk)
-    try:
-        L = np.linalg.cholesky(shape)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is None or not np.all(np.diagonal(L) ** 2 > 0.0):
-        raise PDLostError("updated shape matrix is no longer positive definite")
-    return EllipsoidState(center, shape, state.log_volume + step_log_ratio(n))
 
 
 def assert_same_sequence(state: EllipsoidState, cuts) -> type | None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsoid.engine import ball, step_log_ratio
+from ellipsoid.engine import Cut, DegenerateCutError, PDLostError, ball, step_log_ratio
 from ellipsoid.solver import (
     Constraint,
     Feasible,
@@ -25,7 +25,12 @@ from ellipsoid.solver import (
     row_tolerance,
     solve,
 )
-from instances import feasible_instance, infeasible_instance
+from instances import (
+    feasible_instance,
+    infeasible_instance,
+    reference_central_cut_update,
+    unit_direction,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -153,6 +158,88 @@ def test_find_violated_matches_per_row_reference(seed, n, m, tol):
             assert hit[0] == expected and hit[1] is sys.constraints[expected]
     if m == 0:
         assert find_violated(sys, e0, tol) is None
+
+
+def reference_solve(sys: LinearSystem, cfg: SolverConfig):
+    """The cutting loop written out from its parts: the per-row first-violated
+    scan and the plain-numpy update.
+
+    Returns the outcome, or the iteration of a breakdown as an int, and the
+    records as (iter, row, center, log-volume, a^T K a, shape) tuples.
+    """
+    state = ball(sys.dim, sys.radius)
+    cap = cfg.max_iterations
+    if cap is None:
+        cap = iteration_cap(sys.dim, state.log_volume, cfg.epsilon)
+    records = []
+    cuts = 0
+    while True:
+        i = reference_first_violated(sys, state.center, cfg.violation_tolerance)
+        if i is None:
+            records.append((cuts, None, state.center, state.log_volume, None, state.shape))
+            return Feasible(state.center, cuts), records
+        if state.log_volume < math.log(cfg.epsilon):
+            return VolumeExhausted(state.log_volume, cuts), records
+        if cuts >= cap:
+            return IterationCapReached(cuts), records
+        a = sys.constraints[i].normal
+        aKa = float(a @ (state.shape @ a))
+        try:
+            state = reference_central_cut_update(state, Cut(a))
+        except (DegenerateCutError, PDLostError):
+            return cuts, records
+        records.append((cuts, i, state.center, state.log_volume, aKa, state.shape))
+        cuts += 1
+
+
+@given(seeds, st.integers(min_value=2, max_value=6), st.sampled_from(
+    ["feasible", "empty", "tilted", "gaussian"]))
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_reference_loop_bit_for_bit(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    eps = 1e-3 * math.exp(ball(n, 2.0).log_volume)
+    cap = None
+    if kind == "feasible":
+        sys, _ = feasible_instance(rng, n, int(rng.integers(1, 30)))
+    elif kind == "empty":
+        sys = infeasible_instance(rng, n, int(rng.integers(2, 30)))
+    elif kind == "tilted":
+        # A thin oblique slab with epsilon out of reach: the run ends in a
+        # numerical breakdown.
+        u = unit_direction(rng, n)
+        sys = LinearSystem(n, (Constraint(u, 0.3), Constraint(-u, -0.3 + 1e-3)), 2.0)
+        eps = 1e-300
+    else:
+        # Rows of mixed scale through points near the origin, some capped.
+        m = int(rng.integers(0, 30))
+        A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+        b = A @ rng.normal(scale=0.5, size=n) - rng.uniform(0.0, 1.0, size=m)
+        sys = LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), 2.0)
+        cap = int(rng.integers(0, 60))
+    cfg = SolverConfig(epsilon=eps, max_iterations=cap)
+    expected, ref_records = reference_solve(sys, cfg)
+
+    records = []
+    traced = SolverConfig(epsilon=eps, max_iterations=cap, trace=records.append)
+    for config in (cfg, traced):
+        if isinstance(expected, int):
+            with pytest.raises(NumericalBreakdown) as info:
+                solve(sys, config)
+            assert info.value.iteration == expected
+        else:
+            out = solve(sys, config)
+            assert type(out) is type(expected) and out.iterations == expected.iterations
+            if isinstance(out, Feasible):
+                assert out.point.tobytes() == expected.point.tobytes()
+            elif isinstance(out, VolumeExhausted):
+                assert out.final_log_volume == expected.final_log_volume
+    assert len(records) == len(ref_records)
+    for rec, (it, row, center, log_volume, aKa, shape) in zip(records, ref_records):
+        assert rec.iter == it and rec.violated_index == row
+        assert np.array(rec.center).tobytes() == center.tobytes()
+        assert rec.log_volume == log_volume
+        assert rec.cut_quadratic_form == aKa
+        assert rec.shape.tobytes() == shape.tobytes()
 
 
 def test_iteration_cap_reference_values():
