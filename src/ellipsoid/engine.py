@@ -27,6 +27,7 @@ here; one-dimensional problems are handled upstream by interval arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +96,17 @@ class EllipsoidState:
         return self.center.size
 
 
+def _frozen_cut(normal: np.ndarray) -> Cut:
+    """Wrap a validated, read-only 1-D float normal without the constructor's
+    copy.  The nonzero test is the constructor's: np.linalg.norm of a 1-D
+    float array is sqrt(a.dot(a))."""
+    if not math.sqrt(normal.dot(normal)) > 1e-300:
+        raise ValueError("cut normal must be nonzero")
+    cut = object.__new__(Cut)
+    object.__setattr__(cut, "normal", normal)
+    return cut
+
+
 def _frozen_state(center: np.ndarray, shape: np.ndarray, log_volume: float) -> EllipsoidState:
     """Wrap freshly computed, matching arrays without the constructor's copies."""
     center.flags.writeable = False
@@ -116,11 +128,12 @@ def ball(n: int, radius: float) -> EllipsoidState:
     return EllipsoidState(np.zeros(n), radius * radius * np.eye(n), log_volume)
 
 
+@functools.cache
 def step_log_ratio(n: int) -> float:
     """Exact per-cut change of log-volume in dimension n.
 
     Equals ``0.5 * (n ln(n^2/(n^2-1)) + ln((n-1)/(n+1)))``, which is always
-    below the coarser guarantee ``-1/(2(n+1))``.
+    below the coarser guarantee ``-1/(2(n+1))``.  Computed once per dimension.
     """
     if n < 2:
         raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
@@ -134,7 +147,7 @@ def central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
     Raises :class:`DegenerateCutError` when ``a^T K a`` underflows and
     :class:`PDLostError` when the updated shape fails PD certification.
     """
-    n = state.dim
+    n = state.center.size
     if n < 2:
         raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
     # The Cut and EllipsoidState constructors already validated and froze
@@ -152,9 +165,11 @@ def central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
     alpha = math.sqrt(aKa)
     center = state.center + Ka / ((n + 1) * alpha)
 
-    # K - 2/(n+1) * (Ka)(Ka)^T / aKa, then the n^2/(n^2-1) blow-up.  The
-    # downdate is exactly symmetric and a scalar multiple keeps it so.
-    shape = n * n / (n * n - 1.0) * rank1_downdate(K, Ka, 2.0 / ((n + 1) * aKa))
+    # K - 2/(n+1) * (Ka)(Ka)^T / aKa, then the n^2/(n^2-1) blow-up in place
+    # on the downdate's fresh array.  The downdate is exactly symmetric and a
+    # scalar multiple keeps it so.
+    shape = rank1_downdate(K, Ka, 2.0 / ((n + 1) * aKa))
+    shape *= n * n / (n * n - 1.0)
 
     if cholesky(shape) is None:
         raise PDLostError("updated shape matrix is no longer positive definite")

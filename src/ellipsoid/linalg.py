@@ -19,7 +19,7 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {out.shape}")
     if dim is not None and out.size != dim:
         raise ValueError(f"vector has length {out.size}, expected {dim}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("vector entries must be finite")
     return out
 
@@ -47,7 +47,12 @@ def rank1_downdate(M: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
         raise ValueError(f"dimension mismatch: matrix {M.shape}, vector {w.shape}")
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return M - beta * np.outer(w, w)
+    # One buffer: the products w_i * w_j, then times beta, then M minus
+    # them, the same operations as M - beta * np.outer(w, w).
+    out = w[:, None] * w
+    out *= beta
+    np.subtract(M, out, out=out)
+    return out
 
 
 def cholesky(M: np.ndarray) -> np.ndarray | None:
@@ -68,8 +73,10 @@ def cholesky(M: np.ndarray) -> np.ndarray | None:
     # LAPACK stops only at a pivot <= 0; the squared diagonal of L is the
     # pivot sequence, and a square that underflows to 0 is rejected too.
     # Squaring is monotone on the nonnegative diagonal, so testing the least
-    # entry tests them all; NaN propagates through min and is rejected.
-    least = float(np.diagonal(L).min(initial=np.inf))
-    if not least * least > 0.0:
-        return None
+    # entry tests them all; NaN propagates through min and is rejected.  A
+    # 0 x 0 matrix has no pivot to test.
+    if L.size:
+        least = L.diagonal().min()
+        if not least * least > 0.0:
+            return None
     return L

@@ -94,12 +94,18 @@ def parse_problem(text: str | bytes) -> ProblemFile:
             raise ProblemFormatError(f"{where} is missing keys: {sorted(missing)}")
         if not isinstance(row["a"], list):
             raise ProblemFormatError(f'{where}: "a" must be an array')
-        a = [_number(v, f'{where}: "a" entry {j}') for j, v in enumerate(row["a"])]
+        # A finite float is taken as it is; any other entry goes through
+        # _number, and its location is formatted only then.
+        a = [
+            v if type(v) is float and math.isfinite(v)
+            else _number(v, f'{where}: "a" entry {j}')
+            for j, v in enumerate(row["a"])
+        ]
         if len(a) != dim:
             raise ProblemFormatError(
                 f'{where}: "a" has length {len(a)}, expected dim = {dim}'
             )
-        if all(v == 0.0 for v in a):
+        if not any(a):
             raise ProblemFormatError(f"{where}: normal is all zeros")
         b = _number(row["b"], f'{where}: "b"')
         sense = row["sense"]

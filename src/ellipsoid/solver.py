@@ -20,7 +20,14 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .engine import Cut, DegenerateCutError, PDLostError, ball, central_cut_update
+from .engine import (
+    Cut,
+    DegenerateCutError,
+    PDLostError,
+    _frozen_cut,
+    ball,
+    central_cut_update,
+)
 from .linalg import as_vector, quadratic_form
 
 DEFAULT_VIOLATION_TOL = 1e-9
@@ -44,7 +51,8 @@ class Constraint:
 
     def __post_init__(self):
         normal = as_vector(self.normal).copy()
-        if not float(np.linalg.norm(normal)) > 0.0:
+        # a.a > 0 decides as np.linalg.norm(a) > 0 does: the norm is its root.
+        if not normal.dot(normal) > 0.0:
             raise ValueError("constraint normal must be nonzero")
         if not math.isfinite(self.bound):
             raise ValueError("constraint bound must be finite")
@@ -174,11 +182,11 @@ class _PackedRows:
     __slots__ = ("constraints", "dim", "A", "floor", "tol")
 
     def __init__(self, sys: LinearSystem, tol: float):
-        self.constraints = sys.constraints
+        cons = self.constraints = sys.constraints
         self.dim = sys.dim
-        m = len(sys.constraints)
-        self.A = np.array([con.normal for con in sys.constraints]).reshape(m, sys.dim)
-        b = np.fromiter((con.bound for con in sys.constraints), float, m)
+        self.A = (np.concatenate([con.normal for con in cons]).reshape(len(cons), sys.dim)
+                  if cons else np.empty((0, sys.dim)))
+        b = np.array([con.bound for con in cons], dtype=float)
         self.floor = b - tol * (1.0 + np.abs(b))
         self.tol = tol
 
@@ -196,11 +204,13 @@ def find_violated(
         rows, point = sys, x
     else:
         rows, point = _PackedRows(sys, tol), as_vector(x, sys.dim)
-    hits = np.flatnonzero(rows.A @ point < rows.floor)
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    return i, sys.constraints[i]
+    below = rows.A @ point < rows.floor
+    if below.size:
+        # argmax of a boolean array is its first True.
+        i = int(below.argmax())
+        if below[i]:
+            return i, sys.constraints[i]
+    return None
 
 
 def iteration_cap(n: int, log_v0: float, epsilon: float) -> int:
@@ -264,15 +274,17 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
         else iteration_cap(n, state.log_volume, cfg.epsilon)
     )
 
-    rows = _PackedRows(sys, cfg.violation_tolerance)
-    # One Cut per violated row, reused by every later cut on that row.
+    tol, trace = cfg.violation_tolerance, cfg.trace
+    rows = _PackedRows(sys, tol)
+    # One Cut per violated row, around the row's own frozen normal, reused by
+    # every later cut on that row.
     row_cuts: dict[int, Cut] = {}
     cuts = 0
     while True:
-        hit = find_violated(rows, state.center, cfg.violation_tolerance)
+        hit = find_violated(rows, state.center, tol)
         if hit is None:
-            if cfg.trace is not None:
-                cfg.trace(TraceRecord(
+            if trace is not None:
+                trace(TraceRecord(
                     cuts, None, state.center.tolist(), state.log_volume, None, state.shape
                 ))
             return Feasible(state.center, cuts)
@@ -284,14 +296,14 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
         index, con = hit
         cut = row_cuts.get(index)
         if cut is None:
-            cut = row_cuts[index] = Cut(con.normal)
-        aKa = quadratic_form(state.shape, con.normal) if cfg.trace is not None else None
+            cut = row_cuts[index] = _frozen_cut(con.normal)
+        aKa = quadratic_form(state.shape, con.normal) if trace is not None else None
         try:
             state = central_cut_update(state, cut)
         except (DegenerateCutError, PDLostError) as exc:
             raise NumericalBreakdown(cuts, str(exc)) from exc
-        if cfg.trace is not None:
-            cfg.trace(TraceRecord(
+        if trace is not None:
+            trace(TraceRecord(
                 cuts, index, state.center.tolist(), state.log_volume, aKa, state.shape
             ))
         cuts += 1

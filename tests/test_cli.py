@@ -324,6 +324,26 @@ def test_numerical_breakdown_exits_3(tmp_path, capsys):
     assert report["reason"]
 
 
+def test_numerical_breakdown_writes_its_trace(tmp_path, capsys):
+    u = [math.cos(0.3), math.sin(0.3)]
+    doc = {
+        "dim": 2,
+        "radius": 2.0,
+        "constraints": [
+            {"a": u, "b": 0.3, "sense": ">="},
+            {"a": u, "b": 0.3 + 1e-9, "sense": "<="},
+        ],
+    }
+    path = write_problem(tmp_path, doc)
+    trace = tmp_path / "t.ndjson"
+    argv = ["--input", path, "--output", "json", "--epsilon", "1e-40", "--trace", str(trace)]
+    assert main(argv) == 3
+    report = json.loads(capsys.readouterr().out)
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    # One record per cut made; the cut that broke down has none.
+    assert [r["iter"] for r in records] == list(range(report["iteration"]))
+
+
 # An empty slab tilted off the axes: at the default epsilon the cuts break
 # down before the volume runs out.
 TILTED_SLAB_DOC = {
@@ -358,6 +378,20 @@ def test_breakdown_on_an_empty_slab_reports_its_certificate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: infeasible" in out
     assert "certificate y: [" in out
+
+
+def test_breakdown_with_a_certificate_writes_trace_and_svg(tmp_path, capsys):
+    path = write_problem(tmp_path, TILTED_SLAB_DOC)
+    trace, svg = tmp_path / "t.ndjson", tmp_path / "s.svg"
+    argv = ["--input", path, "--output", "json", "--trace", str(trace), "--svg", str(svg)]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "infeasible"
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(records) == report["iteration"]
+    assert all(r["violated_index"] in (0, 1) for r in records)
+    root = ET.parse(svg).getroot()
+    assert root.tag == f"{SVG_NS}svg"
 
 
 def test_help_exits_zero(capsys):
