@@ -201,28 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_records(args, sys: LinearSystem, records: list[TraceRecord]) -> bool:
-    """Write the --trace and --svg outputs that were asked for; False after
-    reporting a file that cannot be written."""
-    if args.trace is not None:
-        try:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec.as_dict()) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.trace}: {exc}", file=_sys.stderr)
-            return False
-
-    if args.svg is not None:
-        try:
-            with open(args.svg, "wb") as fh:
-                emit_svg_trace(sys, records, replay_shapes(sys, records), fh)
-        except OSError as exc:
-            print(f"error: cannot write {args.svg}: {exc}", file=_sys.stderr)
-            return False
-    return True
-
-
 # Built once per process: argparse keeps no state between parse_args calls.
 _PARSER = build_parser()
 
@@ -275,9 +253,25 @@ def main(argv=None) -> int:
         outcome = solve(sys, cfg)
     except NumericalBreakdown as exc:
         breakdown = exc
+
     # After a breakdown the records of the cuts made before it are written.
-    if not _write_records(args, sys, records):
-        return EXIT_INPUT_ERROR
+    if args.trace is not None:
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec.as_dict()) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.trace}: {exc}", file=_sys.stderr)
+            return EXIT_INPUT_ERROR
+
+    if args.svg is not None:
+        try:
+            with open(args.svg, "wb") as fh:
+                emit_svg_trace(sys, records, replay_shapes(sys, records), fh)
+        except OSError as exc:
+            print(f"error: cannot write {args.svg}: {exc}", file=_sys.stderr)
+            return EXIT_INPUT_ERROR
+
     if breakdown is not None:
         return _report_breakdown(sys, breakdown, args.output)
 
