@@ -40,7 +40,13 @@ class ProblemFile:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFormatError(f"{where} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        # An integer too large for a float; its digits are not echoed.
+        raise ProblemFormatError(
+            f"{where} must be finite, got an integer beyond the float range"
+        ) from None
     if not math.isfinite(out):
         raise ProblemFormatError(f"{where} must be finite, got {value!r}")
     return out

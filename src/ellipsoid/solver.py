@@ -2,8 +2,9 @@
 
 The solver localizes a feasible point inside a bounding ball of radius R
 around the origin: start from that ball, and as long as the current center
-violates some constraint, cut through the center with the first violated
-row's normal and replace the ellipsoid by the central-cut update.  It stops
+violates some constraint, cut through the center with the most violated
+row's normal (the row whose hyperplane lies farthest from the center) and
+replace the ellipsoid by the central-cut update.  It stops
 with ``Feasible`` when a center satisfies every row, or with
 ``VolumeExhausted`` once the ellipsoid volume drops below ``epsilon`` -- at
 that point any feasible region inside the bounding ball has volume below
@@ -173,28 +174,41 @@ class _PackedRows:
     """The rows of a system as arrays, for one solve.
 
     ``A`` is m x n and ``floor`` holds ``b - tol*(1+|b|)`` per row, so a
-    point x violates row i exactly when ``(A @ x)[i] < floor[i]``.  The
-    arrays are built per call and never kept on the :class:`LinearSystem`,
-    which stays a tuple of rows.  ``constraints`` and ``dim`` are those of
-    the packed system.
+    point x violates row i exactly when ``(A @ x)[i] < floor[i]``.
+    ``inv_norm`` holds 1/||a_i||, which turns a row's violation into the
+    distance from x to its hyperplane; ``norms=False`` leaves it None for a
+    caller that only tests the rows.  The arrays are built per call and never
+    kept on the :class:`LinearSystem`, which stays a tuple of rows.
+    ``constraints`` and ``dim`` are those of the packed system.
     """
 
-    __slots__ = ("constraints", "dim", "A", "floor", "tol")
+    __slots__ = ("constraints", "dim", "A", "floor", "inv_norm", "tol")
 
-    def __init__(self, sys: LinearSystem, tol: float):
+    def __init__(self, sys: LinearSystem, tol: float, norms: bool = True):
         cons = self.constraints = sys.constraints
         self.dim = sys.dim
-        self.A = (np.concatenate([con.normal for con in cons]).reshape(len(cons), sys.dim)
-                  if cons else np.empty((0, sys.dim)))
+        # Each normal is a contiguous float64 copy, so joining their bytes
+        # gives the rows of A in order.
+        A = self.A = (
+            np.frombuffer(b"".join([con.normal for con in cons])).reshape(len(cons), sys.dim)
+            if cons else np.empty((0, sys.dim))
+        )
         b = np.array([con.bound for con in cons], dtype=float)
         self.floor = b - tol * (1.0 + np.abs(b))
+        # Constraint checks a.a > 0, so each entry is finite; it is 0 only
+        # where a.a overflows.
+        self.inv_norm = 1.0 / np.sqrt(np.einsum("ij,ij->i", A, A)) if norms else None
         self.tol = tol
 
 
 def find_violated(
     sys: LinearSystem | _PackedRows, x, tol: float = DEFAULT_VIOLATION_TOL
 ) -> Optional[tuple[int, Constraint]]:
-    """First (lowest-index) constraint with a^T x < b - tol*(1+|b|), or None.
+    """The most violated constraint at ``x``, or None if every row holds.
+
+    Row i is violated when a^T x < b - tol*(1+|b|).  Among the violated rows
+    this returns the one whose hyperplane lies farthest from ``x``: the
+    largest ``(b - tol*(1+|b|) - a^T x) / ||a||``, the lowest index on a tie.
 
     ``sys`` may be a :class:`LinearSystem`, packed and ``x`` validated here
     for this call, or rows already packed with the same ``tol``, which the
@@ -204,13 +218,26 @@ def find_violated(
         rows, point = sys, x
     else:
         rows, point = _PackedRows(sys, tol), as_vector(x, sys.dim)
-    below = rows.A @ point < rows.floor
-    if below.size:
-        # argmax of a boolean array is its first True.
-        i = int(below.argmax())
-        if below[i]:
-            return i, sys.constraints[i]
-    return None
+    # depth > 0 exactly where A @ x < floor: IEEE subtraction of unequal
+    # floats never rounds to 0.
+    depth = rows.floor - rows.A @ point
+    if not depth.size:
+        return None
+    scaled = depth * rows.inv_norm
+    # argmax takes the first of equal maxima, and the first NaN if any.
+    i = int(scaled.argmax())
+    if not scaled[i] > 0.0:
+        # No row is violated, or a scaled depth is NaN (an overflowed
+        # product) or 0 (underflowed): pick among the violated rows
+        # themselves, on the raw depth if none has a positive scaled one.
+        hit = np.flatnonzero(depth > 0.0)
+        if not hit.size:
+            return None
+        j = int(scaled[hit].argmax())
+        if not scaled[hit[j]] > 0.0:
+            j = int(depth[hit].argmax())
+        i = int(hit[j])
+    return i, sys.constraints[i]
 
 
 def iteration_cap(n: int, log_v0: float, epsilon: float) -> int:
@@ -347,7 +374,7 @@ def certify(
         # Margin above the row's floor b - tol*(1+|b|): the predicate and the
         # product that separation uses, so every row must clear its own
         # tolerance.  A NaN margin fails.
-        rows = _PackedRows(sys, violation_tolerance)
+        rows = _PackedRows(sys, violation_tolerance, norms=False)
         products = rows.A @ outcome.point
         margins = products - rows.floor
         worst = int(np.argmin(margins))

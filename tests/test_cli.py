@@ -199,6 +199,14 @@ def test_malformed_problem_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 2, "radius": 1.0, "constraints": '
+                    '[{"a": [1, 0], "b": %s, "sense": ">="}]}' % ("9" * 401))
+    assert main(["--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith('error: constraint 0: "b" must be finite')
+
+
 def test_svg_flag_rejects_non_planar_problems(tmp_path, capsys):
     doc = {
         "dim": 3,

@@ -92,6 +92,26 @@ def test_invalid_documents_are_rejected(doc):
         parse_problem(doc)
 
 
+HUGE = "9" * 401  # a JSON integer that float() cannot convert
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ('{"dim": 1, "radius": %s}' % HUGE, '"radius"'),
+        ('{"dim": 1, "radius": 1.0, "constraints": [{"a": [1], "b": %s, "sense": ">="}]}'
+         % HUGE, '"b"'),
+        ('{"dim": 2, "radius": 1.0, "constraints": [{"a": [1, -%s], "b": 0, "sense": ">="}]}'
+         % HUGE, '"a" entry 1'),
+    ],
+    ids=["radius", "b", "a"],
+)
+def test_integers_beyond_the_float_range_are_rejected(doc, where):
+    with pytest.raises(ProblemFormatError, match=where) as info:
+        parse_problem(doc)
+    assert HUGE not in str(info.value)
+
+
 def test_serialize_then_parse_is_identity():
     problem = ProblemFile(
         2,

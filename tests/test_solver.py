@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellipsoid.engine import Cut, DegenerateCutError, PDLostError, ball, step_log_ratio
@@ -114,12 +114,32 @@ def test_find_violated_tolerance_scales_with_bound():
     assert find_violated(small, np.array([-1e-4, 0.0])) is not None
 
 
-def reference_first_violated(sys: LinearSystem, x, tol: float):
-    """Per-row loop over the separation predicate a.x < b - tol*(1+|b|)."""
+def reference_deepest_violated(sys: LinearSystem, x, tol: float):
+    """Per-row loop over the separation predicate a.x < b - tol*(1+|b|).
+
+    Of the violated rows it keeps the one with the largest depth
+    (b - tol*(1+|b|) - a.x) / ||a||, the first on a tie.  When every violated
+    row's scaled depth underflows to 0, the largest raw depth decides.
+    """
+    if not sys.constraints:
+        return None
+    A = np.array([con.normal for con in sys.constraints])
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", A, A))
+    best = best_raw = None
     for i, con in enumerate(sys.constraints):
-        if float(con.normal @ x) < con.bound - row_tolerance(tol, con.bound):
-            return i
-    return None
+        product = float(con.normal @ x)
+        floor = con.bound - row_tolerance(tol, con.bound)
+        if not product < floor:
+            continue
+        depth = floor - product
+        scaled = depth * float(inv[i])
+        if best is None or scaled > best_scaled:
+            best, best_scaled = i, scaled
+        if best_raw is None or depth > best_depth:
+            best_raw, best_depth = i, depth
+    if best is None:
+        return None
+    return best if best_scaled > 0.0 else best_raw
 
 
 @given(
@@ -131,25 +151,37 @@ def reference_first_violated(sys: LinearSystem, x, tol: float):
 @settings(max_examples=150, deadline=None)
 def test_find_violated_matches_per_row_reference(seed, n, m, tol):
     rng = np.random.default_rng(seed)
-    # Bounds of both signs spanning twelve orders of magnitude.
+    # Bounds of both signs spanning twelve orders of magnitude.  In half the
+    # draws with tol = 0 every bound is subnormal and every row is on the
+    # edge: the depths are then subnormal, and over ||a|| they can underflow
+    # to 0.
+    tiny = tol == 0.0 and rng.random() < 0.5
     b = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-6.0, 6.0, size=m)
+    if tiny:
+        b = rng.integers(-3, 4, size=m) * 5e-324
     floor = b - tol * (1.0 + np.abs(b))
     A = rng.normal(size=(m, n))
     # At x = e_0 the product A @ x is exactly A[:, 0], so rows whose first
     # entry is their floor or one ulp either side put that point exactly on
     # the tolerance edge.
-    edge = rng.random(m) < 0.7
+    edge = rng.random(m) < (1.0 if tiny else 0.7)
     step = rng.integers(-1, 2, size=m)
     on_edge = np.where(step < 0, np.nextafter(floor, -np.inf),
                        np.where(step > 0, np.nextafter(floor, np.inf), floor))
     A[:, 0] = np.where(edge, on_edge, A[:, 0])
+    if tiny:
+        # A depth of 5e-324 survives the scaling when ||a|| < 2 and underflows
+        # otherwise.  Half these draws mix norms from about 0.1 to 30; in the
+        # other half most rows underflow, often all violated ones.
+        scale = 10.0 ** rng.integers(-1, 2, size=(m, 1)) if rng.random() < 0.5 else 10.0
+        A[:, 1:] *= scale
     sys = LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), 1.0)
 
     e0 = np.zeros(n)
     e0[0] = 1.0
     points = [e0, rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 7.0)]
     for x in points:
-        expected = reference_first_violated(sys, x, tol)
+        expected = reference_deepest_violated(sys, x, tol)
         hit = find_violated(sys, x, tol)
         if expected is None:
             assert hit is None
@@ -160,8 +192,85 @@ def test_find_violated_matches_per_row_reference(seed, n, m, tol):
         assert find_violated(sys, e0, tol) is None
 
 
+@given(seeds, st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=40))
+@settings(max_examples=100, deadline=None)
+def test_find_violated_ignores_row_order(seed, n, m):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+    b = rng.normal(size=m) * 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+    x = rng.normal(size=n)
+    rows = [Constraint(a, float(v)) for a, v in zip(A, b)]
+    sys = LinearSystem(n, tuple(rows), 1.0)
+    depth = (b - 1e-9 * (1.0 + np.abs(b)) - A @ x) / np.linalg.norm(A, axis=1)
+    top = np.sort(depth)[-2:]
+    # Skip near-ties, which rounding in the product may order either way.
+    assume(top[1] > 0.0 and top[1] - top[0] > 1e-9 * abs(top[1]))
+    hit = find_violated(sys, x)
+    assert hit is not None and hit[1] is rows[int(depth.argmax())]
+    order = rng.permutation(m)
+    shuffled = LinearSystem(n, tuple(rows[i] for i in order), 1.0)
+    assert find_violated(shuffled, x)[1] is hit[1]
+
+
+@given(seeds, st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=-40, max_value=40))
+@settings(max_examples=100, deadline=None)
+def test_find_violated_ignores_power_of_two_row_scaling(seed, n, m, exponent):
+    # With tol = 0 the floor is b itself, so scaling a row and its bound by
+    # 2^k scales its depth and its norm by exactly 2^k.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n))
+    b = rng.normal(size=m)
+    x = rng.normal(size=n)
+    sys = LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), 1.0)
+    k = int(rng.integers(m))
+    scale = 2.0 ** exponent
+    A[k] *= scale
+    b[k] *= scale
+    scaled = LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), 1.0)
+    hit = find_violated(sys, x, 0.0)
+    moved = find_violated(scaled, x, 0.0)
+    assert (hit is None) == (moved is None)
+    if hit is not None:
+        assert moved[0] == hit[0]
+
+
+def test_find_violated_keeps_a_row_whose_scaled_depth_underflows():
+    # At the origin the second row's depth is the least subnormal, 5e-324;
+    # over ||a|| = 4 it rounds to 0, yet the row is violated.
+    sys = LinearSystem(
+        2,
+        (
+            Constraint(np.array([1.0, 0.0]), -1.0),
+            Constraint(np.array([4.0, 0.0]), 5e-324),
+        ),
+        2.0,
+    )
+    origin = np.zeros(2)
+    idx, con = find_violated(sys, origin, 0.0)
+    assert idx == 1 and con is sys.constraints[1]
+    report = certify(Feasible(origin, 0), sys, violation_tolerance=0.0)
+    assert not report.passed and report.worst_index == 1
+    out = solve(sys, SolverConfig(epsilon=1e-6, violation_tolerance=0.0))
+    assert isinstance(out, Feasible)
+    assert find_violated(sys, out.point, 0.0) is None
+    assert certify(out, sys, violation_tolerance=0.0).passed
+
+
+def test_find_violated_keeps_a_row_whose_norm_overflows():
+    # a.a overflows, so 1/||a|| is 0 and the second row's scaled depth reads
+    # 0 although the origin violates it by 1e200.
+    with np.errstate(over="ignore"):
+        huge = Constraint(np.array([1e200, 1e200]), 1e200)
+    sys = LinearSystem(2, (Constraint(np.array([1.0, 0.0]), -1.0), huge), 2.0)
+    origin = np.zeros(2)
+    assert find_violated(sys, origin, 0.0)[0] == 1
+    assert reference_deepest_violated(sys, origin, 0.0) == 1
+    assert not certify(Feasible(origin, 0), sys, violation_tolerance=0.0).passed
+
+
 def reference_solve(sys: LinearSystem, cfg: SolverConfig):
-    """The cutting loop written out from its parts: the per-row first-violated
+    """The cutting loop written out from its parts: the per-row deepest-violated
     scan and the plain-numpy update.
 
     Returns the outcome, or the iteration of a breakdown as an int, and the
@@ -174,7 +283,7 @@ def reference_solve(sys: LinearSystem, cfg: SolverConfig):
     records = []
     cuts = 0
     while True:
-        i = reference_first_violated(sys, state.center, cfg.violation_tolerance)
+        i = reference_deepest_violated(sys, state.center, cfg.violation_tolerance)
         if i is None:
             records.append((cuts, None, state.center, state.log_volume, None, state.shape))
             return Feasible(state.center, cuts), records
