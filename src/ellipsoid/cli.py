@@ -20,7 +20,7 @@ import sys as _sys
 
 import numpy as np
 
-from .engine import ball
+from .engine import ball, log_unit_ball_volume
 from .oracle import (
     MAX_CONSTRAINTS,
     MAX_DIM,
@@ -159,6 +159,26 @@ def _json_value(value):
     return value
 
 
+def _json_float(value: float) -> str:
+    # float.__repr__ is how json.dumps writes a float, subclasses included.
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+def _trace_line(rec: TraceRecord) -> str:
+    """The line ``json.dumps(rec.as_dict())`` writes, keys and separators
+    included, plus a newline, except that a non-finite float is null."""
+    center = ", ".join(map(float.__repr__, rec.center))
+    # Finite reprs hold no "n"; "nan" and "inf" do.
+    if "n" in center:
+        center = ", ".join(map(_json_float, rec.center))
+    index, qf = rec.violated_index, rec.cut_quadratic_form
+    return (
+        f'{{"iter": {rec.iter}, "violated_index": {"null" if index is None else index}, '
+        f'"center": [{center}], "log_volume": {_json_float(rec.log_volume)}, '
+        f'"cut_quadratic_form": {"null" if qf is None else _json_float(qf)}}}\n'
+    )
+
+
 def _print_text(report: dict) -> None:
     print(f"status: {report['status']}")
     print(f"iterations: {report['iterations']}")
@@ -232,8 +252,17 @@ def main(argv=None) -> int:
 
     epsilon = args.epsilon
     if epsilon is None:
-        initial = ball(sys.dim, sys.radius)
-        epsilon = DEFAULT_EPSILON_FACTOR * math.exp(initial.log_volume)
+        # The initial ball's log-volume, as engine.ball computes it.
+        log_volume = log_unit_ball_volume(sys.dim) + sys.dim * math.log(sys.radius)
+        try:
+            epsilon = DEFAULT_EPSILON_FACTOR * math.exp(log_volume)
+        except OverflowError:
+            print(
+                f"error: the initial ball's volume, e^{log_volume:.6g}, is beyond the float "
+                "range, so there is no default epsilon; pass --epsilon",
+                file=_sys.stderr,
+            )
+            return EXIT_INPUT_ERROR
     # Trace records are built only for the outputs that read them.
     records: list[TraceRecord] = []
     wants_records = args.trace is not None or args.svg is not None
@@ -255,11 +284,12 @@ def main(argv=None) -> int:
         breakdown = exc
 
     # After a breakdown the records of the cuts made before it are written.
+    # Encoded after the solve, in one write, so the cut loop pays only for
+    # appending each record.
     if args.trace is not None:
         try:
             with open(args.trace, "w", encoding="utf-8") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec.as_dict()) + "\n")
+                fh.write("".join(map(_trace_line, records)))
         except OSError as exc:
             print(f"error: cannot write {args.trace}: {exc}", file=_sys.stderr)
             return EXIT_INPUT_ERROR

@@ -6,11 +6,18 @@ is exactly symmetric too: ``M - beta * w w^T`` is symmetric bit for bit
 when ``M`` is, because ``w_i * w_j`` and ``w_j * w_i`` round alike.
 Positive definiteness is decided by a Cholesky factorization that demands
 strictly positive pivots, never by eigenvalues.
+
+:func:`cholesky` runs on every cut, so it calls LAPACK potrf through the
+gufunc that ``np.linalg.cholesky`` wraps: the factor has the same bytes,
+without the wrapper's per-call type and shape handling, and a failed factor
+comes back NaN-filled instead of raising.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate and return ``v`` as a 1-D float64 array with finite entries."""
@@ -25,8 +32,6 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
 
 
 def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    v = np.asarray(v, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if v.ndim != 1 or v.size != M.shape[0]:
@@ -36,13 +41,12 @@ def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def quadratic_form(M: np.ndarray, v: np.ndarray) -> float:
     """Return v^T M v.  Positive for PD ``M`` and nonzero ``v``."""
-    return float(np.asarray(v, dtype=float) @ mat_vec(M, v))
+    v = np.asarray(v, dtype=float)
+    return float(v @ mat_vec(M, v))
 
 
 def rank1_downdate(M: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
     """Return M - beta * w w^T; exactly symmetric when ``M`` is."""
-    M = np.asarray(M, dtype=float)
-    w = np.asarray(w, dtype=float)
     if w.ndim != 1 or M.shape != (w.size, w.size):
         raise ValueError(f"dimension mismatch: matrix {M.shape}, vector {w.shape}")
     if beta < 0.0:
@@ -66,17 +70,17 @@ def cholesky(M: np.ndarray) -> np.ndarray | None:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return None
-    # LAPACK stops only at a pivot <= 0; the squared diagonal of L is the
-    # pivot sequence, and a square that underflows to 0 is rejected too.
-    # Squaring is monotone on the nonnegative diagonal, so testing the least
-    # entry tests them all; NaN propagates through min and is rejected.  A
-    # 0 x 0 matrix has no pivot to test.
+    # potrf stops at a pivot <= 0 (or NaN) and the gufunc then fills L with
+    # NaN and raises the invalid flag, which is silenced here.
+    with np.errstate(all="ignore"):
+        L = _umath_linalg.cholesky_lo(A, signature="d->d")
+    # The squared diagonal of L is the pivot sequence, and a square that
+    # underflows to 0 is rejected too.  Squaring is monotone on the
+    # nonnegative diagonal, so testing the least entry tests them all; NaN
+    # propagates through the minimum and is rejected.  A 0 x 0 matrix has no
+    # pivot to test.
     if L.size:
-        least = L.diagonal().min()
+        least = np.minimum.reduce(L.diagonal())
         if not least * least > 0.0:
             return None
     return L

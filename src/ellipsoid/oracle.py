@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .solver import LinearSystem
+from .solver import LinearSystem, _stacked_normals
 
 # Feasibility slack for accepting a witness, scaled per row by 1 + |b|.
 WITNESS_TOL = 1e-12
@@ -104,8 +104,7 @@ def _check_limits(sys: LinearSystem, max_dim: int) -> None:
 
 def _arrays(sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     m = len(sys.constraints)
-    A = np.array([con.normal for con in sys.constraints]).reshape(m, sys.dim)
-    return A, np.fromiter((con.bound for con in sys.constraints), float, m)
+    return _stacked_normals(sys), np.fromiter((con.bound for con in sys.constraints), float, m)
 
 
 def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -166,7 +165,8 @@ def vertex_enumeration_check(sys: LinearSystem) -> OracleVerdict:
     _check_limits(sys, MAX_DIM)
     A, b = _arrays(sys)
     m, n = A.shape
-    norms = np.linalg.norm(A, axis=1)
+    # What np.linalg.norm(A, axis=1) computes, without its dispatch.
+    norms = np.sqrt(np.add.reduce(A * A, axis=1))
     kept = np.flatnonzero(b / norms >= -sys.radius * (1.0 + BALL_MARGIN))
     E = np.vstack([A[kept].T, b[kept]]) / norms[kept]
     f = np.eye(n + 1)[n]

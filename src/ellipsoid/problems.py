@@ -13,10 +13,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .solver import Constraint, LinearSystem
+import numpy as np
+
+from .solver import LinearSystem, _frozen_constraint
 
 _TOP_KEYS = {"dim", "radius", "constraints"}
 _ROW_KEYS = {"a", "b", "sense"}
+_SENSE_SIGN = {">=": 1.0, "<=": -1.0}
 
 
 class ProblemFormatError(ValueError):
@@ -92,12 +95,13 @@ def parse_problem(text: str | bytes) -> ProblemFile:
         where = f"constraint {i}"
         if not isinstance(row, dict):
             raise ProblemFormatError(f"{where} must be an object")
-        unknown = set(row) - _ROW_KEYS
-        if unknown:
-            raise ProblemFormatError(f"{where} has unknown keys: {sorted(unknown)}")
-        missing = _ROW_KEYS - set(row)
-        if missing:
-            raise ProblemFormatError(f"{where} is missing keys: {sorted(missing)}")
+        if row.keys() != _ROW_KEYS:
+            unknown = set(row) - _ROW_KEYS
+            if unknown:
+                raise ProblemFormatError(f"{where} has unknown keys: {sorted(unknown)}")
+            raise ProblemFormatError(
+                f"{where} is missing keys: {sorted(_ROW_KEYS - set(row))}"
+            )
         if not isinstance(row["a"], list):
             raise ProblemFormatError(f'{where}: "a" must be an array')
         # A finite float is taken as it is; any other entry goes through
@@ -133,11 +137,32 @@ def serialize_problem(problem: ProblemFile) -> str:
 
 
 def to_linear_system(problem: ProblemFile) -> LinearSystem:
-    """Normalize rows to >= form and build the solver's system."""
-    cons = tuple(
-        Constraint.from_row(row.a, row.b, row.sense) for row in problem.constraints
-    )
-    return LinearSystem(problem.dim, cons, problem.radius)
+    """Normalize rows to >= form and build the solver's system.
+
+    The rows go into one m x n array, "<=" rows negated in bulk, and each
+    constraint holds a read-only row of it.  Normals, bounds and error
+    messages are those of :meth:`Constraint.from_row` on each row:
+    multiplying by -1.0 negates exactly, 0.0 included.
+    """
+    rows = problem.constraints
+    m, dim = len(rows), problem.dim
+    try:
+        sign = np.array([_SENSE_SIGN[row.sense] for row in rows])
+    except KeyError as exc:
+        raise ValueError(f'sense must be ">=" or "<=", got {exc.args[0]!r}') from None
+    A = np.array([row.a for row in rows], dtype=float).reshape(m, dim) * sign[:, None]
+    b = np.array([row.b for row in rows], dtype=float) * sign
+    if not np.isfinite(A).all():
+        raise ValueError("vector entries must be finite")
+    if not np.isfinite(b).all():
+        raise ValueError("constraint bound must be finite")
+    # a.a > 0 as Constraint decides it, for every row at once; einsum raises
+    # no overflow warning for a row whose a.a overflows.
+    if not (np.einsum("ij,ij->i", A, A) > 0.0).all():
+        raise ValueError("constraint normal must be nonzero")
+    A.flags.writeable = False
+    cons = tuple(map(_frozen_constraint, A, b.tolist()))
+    return LinearSystem(dim, cons, problem.radius)
 
 
 __all__ = [

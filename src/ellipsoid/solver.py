@@ -75,6 +75,15 @@ class Constraint:
         return float(self.normal @ np.asarray(x, dtype=float)) - self.bound
 
 
+def _frozen_constraint(normal: np.ndarray, bound: float) -> Constraint:
+    """Wrap a read-only 1-D float normal with finite entries and a.a > 0,
+    and a finite float bound, without the constructor's checks and copy."""
+    con = object.__new__(Constraint)
+    object.__setattr__(con, "normal", normal)
+    object.__setattr__(con, "bound", bound)
+    return con
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """m constraints in dimension n plus the bounding-ball radius R.
@@ -170,6 +179,17 @@ def row_tolerance(tol: float, bound: float) -> float:
     return tol * (1.0 + abs(bound))
 
 
+def _stacked_normals(sys: LinearSystem) -> np.ndarray:
+    """The rows' normals as one read-only m x n array.
+
+    Each normal is a contiguous float64 vector (a copy, or a row of the
+    array a problem file was read into), so joining their bytes gives the
+    rows in order.
+    """
+    normals = b"".join([con.normal for con in sys.constraints])
+    return np.frombuffer(normals).reshape(len(sys.constraints), sys.dim)
+
+
 class _PackedRows:
     """The rows of a system as arrays, for one solve.
 
@@ -187,12 +207,7 @@ class _PackedRows:
     def __init__(self, sys: LinearSystem, tol: float, norms: bool = True):
         cons = self.constraints = sys.constraints
         self.dim = sys.dim
-        # Each normal is a contiguous float64 copy, so joining their bytes
-        # gives the rows of A in order.
-        A = self.A = (
-            np.frombuffer(b"".join([con.normal for con in cons])).reshape(len(cons), sys.dim)
-            if cons else np.empty((0, sys.dim))
-        )
+        A = self.A = _stacked_normals(sys)
         b = np.array([con.bound for con in cons], dtype=float)
         self.floor = b - tol * (1.0 + np.abs(b))
         # Constraint checks a.a > 0, so each entry is finite; it is 0 only

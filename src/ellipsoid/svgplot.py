@@ -52,15 +52,17 @@ def _color(i: int, total: int) -> str:
 
 def _constraint_line(con, extent: float) -> str:
     a = con.normal
-    norm = float(np.linalg.norm(a))
+    a0, a1 = a.tolist()
+    # np.linalg.norm of a 1-D array is the root of its dot product; the rest
+    # is float arithmetic on the two entries.
+    norm = math.sqrt(a.dot(a))
     # Closest point of a^T x = b to the origin, then stretch along the line.
-    p = a * (con.bound / (norm * norm))
-    d = np.array([-a[1], a[0]]) / norm
-    p0 = p - extent * d
-    p1 = p + extent * d
+    scale = con.bound / (norm * norm)
+    px, py = a0 * scale, a1 * scale
+    dx, dy = -a1 / norm, a0 / norm
     return (
-        f'<line x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" '
-        f'x2="{_fmt(p1[0])}" y2="{_fmt(p1[1])}" '
+        f'<line x1="{_fmt(px - extent * dx)}" y1="{_fmt(py - extent * dy)}" '
+        f'x2="{_fmt(px + extent * dx)}" y2="{_fmt(py + extent * dy)}" '
         'stroke="#555555" stroke-width="0.6%" stroke-dasharray="2% 1%"/>'
     )
 

@@ -12,11 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellipsoid.oracle
-from ellipsoid.cli import main
+from ellipsoid.cli import DEFAULT_EPSILON_FACTOR, _trace_line, main
 from ellipsoid.engine import ball, step_log_ratio
 from ellipsoid.problems import parse_problem, to_linear_system
+from ellipsoid.solver import TraceRecord
 from instances import feasible_instance, infeasible_instance
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -207,6 +210,31 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith('error: constraint 0: "b" must be finite')
 
 
+def test_row_whose_square_underflows_exits_2(tmp_path, capsys):
+    doc = {"dim": 2, "radius": 1.0,
+           "constraints": [{"a": [1e-200, 0.0], "b": 0.0, "sense": ">="}]}
+    assert main(["--input", write_problem(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "error: constraint normal must be nonzero\n"
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 0.3), (2, 2.0), (3, 7.25), (6, 1e3)])
+def test_default_epsilon_is_a_fraction_of_the_ball_volume(tmp_path, capsys, dim, radius):
+    doc = {"dim": dim, "radius": radius,
+           "constraints": [{"a": [1.0] * dim, "b": 0.0, "sense": ">="}]}
+    assert main(["--input", write_problem(tmp_path, doc), "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    epsilon = DEFAULT_EPSILON_FACTOR * math.exp(ball(dim, radius).log_volume)
+    assert report["epsilon"] == epsilon
+    assert report["log_epsilon"] == math.log(epsilon)
+
+
+def test_default_epsilon_beyond_the_float_range_exits_2(tmp_path, capsys):
+    doc = {"dim": 4, "radius": 1e200,
+           "constraints": [{"a": [1.0, 0.0, 0.0, 0.0], "b": 0.0, "sense": ">="}]}
+    assert main(["--input", write_problem(tmp_path, doc)]) == 2
+    assert "pass --epsilon" in capsys.readouterr().err
+
+
 def test_svg_flag_rejects_non_planar_problems(tmp_path, capsys):
     doc = {
         "dim": 3,
@@ -278,6 +306,38 @@ def test_trace_file_records_every_step(tmp_path, capsys):
     assert terminal["iter"] == iterations
     assert terminal["violated_index"] is None
     assert terminal["cut_quadratic_form"] is None
+
+
+def test_trace_writes_non_finite_floats_as_null():
+    rec = TraceRecord(4, 1, [math.nan, math.inf, -0.0, -math.inf], -math.inf, math.nan,
+                      np.eye(4))
+    line = _trace_line(rec)
+    assert line.endswith("\n") and line.count("\n") == 1
+    assert strict_json(line) == {"iter": 4, "violated_index": 1,
+                                 "center": [None, None, -0.0, None],
+                                 "log_volume": None, "cut_quadratic_form": None}
+
+
+# Finite floats with the awkward cases drawn often: signed zeros,
+# subnormals and the ends of the range.
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.none() | st.integers(0, 10**4),
+    st.lists(finite_floats, min_size=1, max_size=40),
+    finite_floats,
+    st.none() | finite_floats,
+)
+@settings(max_examples=300, deadline=None)
+def test_trace_line_is_json_dumps_of_the_record(it, index, center, log_volume, qf):
+    rec = TraceRecord(it, index, center, log_volume, qf, np.eye(len(center)))
+    assert _trace_line(rec) == json.dumps(rec.as_dict()) + "\n"
 
 
 def test_svg_written_with_one_ellipse_per_state(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,3 +198,50 @@ def test_downdate_matches_determinant_lemma(seed, n, frac):
     sign, got = np.linalg.slogdet(rank1_downdate(M, w, beta))
     assert sign > 0.0
     assert got == pytest.approx(expected, abs=1e-8)
+
+
+def guard_reference(M):
+    """np.linalg.cholesky, with None where it raises or where the square of
+    its least pivot is not > 0."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
+    if L.size and not float(L.diagonal().min()) ** 2 > 0.0:
+        return None
+    return L
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from(["pd", "scaled_small", "scaled_tiny", "rank_one", "indefinite",
+                     "nan_diagonal", "nan_off_diagonal"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cholesky_is_the_numpy_factor_bit_for_bit(seed, n, kind):
+    if n == 1 and kind in ("scaled_small", "scaled_tiny", "rank_one"):
+        n = 2
+    M = reference_case(np.random.default_rng(seed), n, kind)
+    expected = guard_reference(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cholesky(M)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_cholesky_edge_inputs_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cholesky(np.zeros((0, 0))).shape == (0, 0)
+        assert cholesky(np.zeros((3, 3))) is None
+        assert cholesky(np.full((2, 2), math.nan)) is None
+        assert cholesky(-np.eye(3)) is None
+        # A pivot of 1e-320 is subnormal but positive; its root squares back
+        # to a positive number, so the matrix is accepted.
+        assert cholesky(np.diag([1e-320, 1.0])) is not None
