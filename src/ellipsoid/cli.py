@@ -31,6 +31,7 @@ from .oracle import (
 from .problems import ProblemFormatError, parse_problem, to_linear_system
 from .solver import (
     DEFAULT_VIOLATION_TOL,
+    Constraint,
     Feasible,
     IterationCapReached,
     LinearSystem,
@@ -72,7 +73,37 @@ def _in_oracle_range(sys: LinearSystem) -> bool:
     return sys.dim <= MAX_DIM and len(sys.constraints) <= MAX_CONSTRAINTS
 
 
-def _oracle_section(sys: LinearSystem, outcome) -> dict:
+def _witness_margin(sys: LinearSystem, x: np.ndarray) -> float:
+    """min(min_i (a_i.x - b_i) / ||a_i||, R - ||x||): the radius of the
+    largest ball about ``x`` inside the region and the bounding ball."""
+    margin = sys.radius - math.sqrt(x.dot(x))
+    for con in sys.constraints:
+        a = con.normal
+        margin = min(margin, (a.dot(x) - con.bound) / math.hypot(*a.tolist()))
+    return margin
+
+
+def _deep_witness(sys: LinearSystem, epsilon: float) -> np.ndarray | None:
+    """A point whose margin is about (1 + 1/n) r, where B(0, r) has volume
+    epsilon, when the oracle finds one in the region shrunk by that margin.
+
+    The factor leaves room for the oracle's tolerance and costs at most
+    e in volume: (1 + 1/n)^n < e.
+    """
+    n = sys.dim
+    r = (1.0 + 1.0 / n) * math.exp((math.log(epsilon) - log_unit_ball_volume(n)) / n)
+    if not r < sys.radius:
+        return None
+    try:
+        rows = tuple(Constraint(con.normal, con.bound + r * math.hypot(*con.normal.tolist()))
+                     for con in sys.constraints)
+    except ValueError:  # a shifted bound beyond the float range
+        return None
+    verdict = vertex_enumeration_check(LinearSystem(n, rows, sys.radius - r))
+    return verdict.point if isinstance(verdict, FeasibleWitness) else None
+
+
+def _oracle_section(sys: LinearSystem, outcome, epsilon: float) -> dict:
     if not _in_oracle_range(sys):
         reason = f"oracle limited to dim <= {MAX_DIM} and at most {MAX_CONSTRAINTS} rows"
         return {"agreement": "skipped", "reason": reason}
@@ -88,6 +119,21 @@ def _oracle_section(sys: LinearSystem, outcome) -> dict:
         section["agreement"] = "no_claim"
     elif isinstance(outcome, Feasible) == isinstance(verdict, FeasibleWitness):
         section["agreement"] = "agree"
+    elif isinstance(outcome, VolumeExhausted):
+        # The run claims only that the region inside the ball has volume
+        # below epsilon.  A witness x with margin r > 0 puts B(x, r) in the
+        # region, so it contradicts the claim only when that ball alone
+        # reaches epsilon; a region thinner than that is non-empty yet small.
+        # The least-norm witness lies on its active rows, with margin 0, so
+        # a deeper witness is sought first.
+        x = _deep_witness(sys, epsilon)
+        if x is None:
+            x = verdict.point
+        r = section["witness_margin"] = _witness_margin(sys, x)
+        contradicts = r > 0.0 and (
+            log_unit_ball_volume(sys.dim) + sys.dim * math.log(r) >= math.log(epsilon)
+        )
+        section["agreement"] = "disagree" if contradicts else "consistent"
     else:
         section["agreement"] = "disagree"
     return section
@@ -167,7 +213,8 @@ def _json_float(value: float) -> str:
 def _trace_line(rec: TraceRecord) -> str:
     """The line ``json.dumps(rec.as_dict())`` writes, keys and separators
     included, plus a newline, except that a non-finite float is null."""
-    center = ", ".join(map(float.__repr__, rec.center))
+    # A list's repr joins float.__repr__ of each entry with ", ".
+    center = repr(rec.center)[1:-1]
     # Finite reprs hold no "n"; "nan" and "inf" do.
     if "n" in center:
         center = ", ".join(map(_json_float, rec.center))
@@ -305,7 +352,7 @@ def main(argv=None) -> int:
     if breakdown is not None:
         return _report_breakdown(sys, breakdown, args.output)
 
-    oracle = _oracle_section(sys, outcome) if args.verify else None
+    oracle = _oracle_section(sys, outcome, cfg.epsilon) if args.verify else None
     report = _report(outcome, sys, cfg, oracle)
     if args.output == "json":
         print(json.dumps(_json_value(report), allow_nan=False))

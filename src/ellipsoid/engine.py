@@ -109,8 +109,8 @@ def _frozen_cut(normal: np.ndarray) -> Cut:
 
 def _frozen_state(center: np.ndarray, shape: np.ndarray, log_volume: float) -> EllipsoidState:
     """Wrap freshly computed, matching arrays without the constructor's copies."""
-    center.flags.writeable = False
-    shape.flags.writeable = False
+    center.setflags(write=False)
+    shape.setflags(write=False)
     state = object.__new__(EllipsoidState)
     object.__setattr__(state, "center", center)
     object.__setattr__(state, "shape", shape)
@@ -124,8 +124,11 @@ def ball(n: int, radius: float) -> EllipsoidState:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not radius > 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
+    squared = radius * radius
+    if not math.isfinite(squared):
+        raise ValueError(f"radius must have a finite square, got {radius}")
     log_volume = log_unit_ball_volume(n) + n * math.log(radius)
-    return EllipsoidState(np.zeros(n), radius * radius * np.eye(n), log_volume)
+    return _frozen_state(np.zeros(n), squared * np.eye(n), log_volume)
 
 
 @functools.cache
@@ -158,7 +161,7 @@ def central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
 
     K = state.shape
     Ka = mat_vec(K, a)
-    aKa = float(a @ Ka)
+    aKa = float(a.dot(Ka))
     if not aKa > QF_FLOOR:
         raise DegenerateCutError(f"a^T K a = {aKa} is not positive; cut is degenerate")
 

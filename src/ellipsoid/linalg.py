@@ -11,6 +11,17 @@ strictly positive pivots, never by eigenvalues.
 gufunc that ``np.linalg.cholesky`` wraps: the factor has the same bytes,
 without the wrapper's per-call type and shape handling, and a failed factor
 comes back NaN-filled instead of raising.
+
+Products on the cut path go through ``ndarray.dot``, not ``@``: on these
+small operands the matmul gufunc's dispatch costs 0.7 to 1.3 us more per
+call than ``dot`` (numpy 2.4, one BLAS thread), which reaches the same BLAS
+gemv or ddot and returns the same bytes.  The one exception is a product
+of one element: ``dot`` multiplies the two entries, where ``@`` adds their
+product to +0.0, so a zero result can differ in sign.  Callers that may
+meet it take ``@`` there.  For the same reason :func:`cholesky` here and
+the oracle's LU solve call LAPACK gufuncs directly rather than the
+``np.linalg`` wrappers, with the wrappers' float results.  The tests pin
+each of these byte for byte against the ``@`` and wrapper forms.
 """
 
 from __future__ import annotations
@@ -36,13 +47,15 @@ def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if v.ndim != 1 or v.size != M.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {M.shape}, vector {v.shape}")
-    return M @ v
+    # A 1 x 1 product is the one-element case of the module docstring.
+    return M.dot(v) if v.size > 1 else M @ v
 
 
 def quadratic_form(M: np.ndarray, v: np.ndarray) -> float:
     """Return v^T M v.  Positive for PD ``M`` and nonzero ``v``."""
     v = np.asarray(v, dtype=float)
-    return float(v @ mat_vec(M, v))
+    Mv = mat_vec(M, v)
+    return float(v.dot(Mv) if v.size > 1 else v @ Mv)
 
 
 def rank1_downdate(M: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .solver import LinearSystem, _stacked_normals
 
@@ -65,8 +66,9 @@ OracleVerdict = Union[FeasibleWitness, Infeasible, Inconclusive]
 
 
 def _satisfies(A: np.ndarray, b: np.ndarray, radius: float, x: np.ndarray) -> bool:
-    return bool(np.linalg.norm(x) <= radius * (1.0 + WITNESS_TOL)
-                and np.all(A @ x - b >= -WITNESS_TOL * (1.0 + np.abs(b))))
+    # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)).
+    return bool(math.sqrt(x.dot(x)) <= radius * (1.0 + WITNESS_TOL)
+                and (A.dot(x) - b >= -WITNESS_TOL * (1.0 + np.abs(b))).all())
 
 
 def _integers(values: list[float]) -> tuple[list[int], int]:
@@ -114,23 +116,23 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     u, passive = np.zeros(m), np.zeros(m, bool)
     tol = 10.0 * np.finfo(float).eps * max(E.shape) * max(1.0, np.abs(E).sum(0).max(initial=0.0))
     for _ in range(3 * (m + 1)):
-        w = E.T @ (f - E @ u)
+        w = E.T.dot(f - E.dot(u))
         w[passive] = -np.inf
         if not w.max(initial=-np.inf) > tol:
             break
-        j = int(np.argmax(w))
+        j = int(w.argmax())
         passive[j] = True
         while True:
-            idx = np.flatnonzero(passive)
+            idx = passive.nonzero()[0]
             z = np.linalg.lstsq(E[:, idx], f, rcond=None)[0]
-            if np.all(z > 0.0):
+            if (z > 0.0).all():
                 u[idx] = z
                 break
             # Step toward z until the first passive variable reaches zero.
             ui, neg = u[idx], z <= 0.0
             ratios = np.where(ui > z, ui / (ui - z), 0.0)[neg]
             u[idx] = ui + ratios.min() * (z - ui)
-            u[idx[neg][np.argmin(ratios)]] = 0.0
+            u[idx[neg][ratios.argmin()]] = 0.0
             passive &= u > 0.0
             u[~passive] = 0.0
             if not passive[j]:
@@ -141,14 +143,18 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _candidates(A: np.ndarray, b: np.ndarray, active: np.ndarray, r: np.ndarray):
     """Witness candidates: the projection of the origin onto the active rows
     (solved as one subset of a full enumeration would be: LU for n rows,
-    else QR of A_S^T, never the normal equations), then -r[:n] / r[n]."""
+    else QR of A_S^T, never the normal equations), then -r[:n] / r[n].
+
+    The LU solve is the gufunc ``np.linalg.solve`` wraps, run under the
+    caller's ``errstate``: an exactly singular stack comes back NaN, which
+    ``_satisfies`` rejects, where the wrapper raises ``LinAlgError``."""
     k, n = active.size, A.shape[1]
     A_S, b_S = A[active], b[active][:, None]
     try:
         if k == 0:
             yield np.zeros(n)
         elif k == n:
-            yield np.linalg.solve(A_S, b_S)[:, 0]
+            yield _umath_linalg.solve(A_S, b_S, signature="dd->d")[:, 0]
         elif k < n:
             q, R = np.linalg.qr(A_S.T)
             yield (q @ np.linalg.solve(R.T, b_S))[:, 0]
@@ -167,14 +173,15 @@ def vertex_enumeration_check(sys: LinearSystem) -> OracleVerdict:
     m, n = A.shape
     # What np.linalg.norm(A, axis=1) computes, without its dispatch.
     norms = np.sqrt(np.add.reduce(A * A, axis=1))
-    kept = np.flatnonzero(b / norms >= -sys.radius * (1.0 + BALL_MARGIN))
-    E = np.vstack([A[kept].T, b[kept]]) / norms[kept]
-    f = np.eye(n + 1)[n]
+    kept = (b / norms >= -sys.radius * (1.0 + BALL_MARGIN)).nonzero()[0]
+    E = np.concatenate((A[kept].T, b[kept][None, :])) / norms[kept]
+    f = np.zeros(n + 1)
+    f[n] = 1.0
     # Nearly dependent active rows give huge or non-finite points; they
     # fail the checks below, so their warnings are noise.
     with np.errstate(all="ignore"):
         u = _nnls(E, f)
-        for x in _candidates(A, b, kept[u > 0.0], E @ u - f):
+        for x in _candidates(A, b, kept[u > 0.0], E.dot(u) - f):
             if _satisfies(A, b, sys.radius, x):
                 return FeasibleWitness(x)
     y = np.zeros(m)

@@ -100,8 +100,10 @@ class LinearSystem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not (math.isfinite(self.radius * self.radius) and self.radius > 0.0):
+            raise ValueError(
+                f"radius must be positive with a finite square, got {self.radius}"
+            )
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for i, con in enumerate(self.constraints):
             if con.normal.size != self.dim:
@@ -234,8 +236,10 @@ def find_violated(
     else:
         rows, point = _PackedRows(sys, tol), as_vector(x, sys.dim)
     # depth > 0 exactly where A @ x < floor: IEEE subtraction of unequal
-    # floats never rounds to 0.
-    depth = rows.floor - rows.A @ point
+    # floats never rounds to 0.  ndarray.dot is A @ x without the gufunc
+    # dispatch; the sign of a zero, where a 1 x 1 product may differ (see
+    # linalg), decides nothing here.
+    depth = rows.floor - rows.A.dot(point)
     if not depth.size:
         return None
     scaled = depth * rows.inv_norm
@@ -390,7 +394,11 @@ def certify(
         # product that separation uses, so every row must clear its own
         # tolerance.  A NaN margin fails.
         rows = _PackedRows(sys, violation_tolerance, norms=False)
-        products = rows.A @ outcome.point
+        # ndarray.dot is A @ x without the gufunc dispatch, except that a
+        # 1 x 1 product may leave a zero negative (see linalg), which the
+        # reported min_slack would show.
+        A = rows.A
+        products = A.dot(outcome.point) if A.size > 1 else A @ outcome.point
         margins = products - rows.floor
         worst = int(np.argmin(margins))
         return CertReport(

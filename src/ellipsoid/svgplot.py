@@ -27,13 +27,16 @@ def ellipse_axes(shape: np.ndarray) -> tuple[float, float, float]:
     K = np.asarray(shape, dtype=float)
     if K.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {K.shape}")
-    half_diff = 0.5 * (K[0, 0] - K[1, 1])
-    mean = 0.5 * (K[0, 0] + K[1, 1])
-    root = math.hypot(half_diff, K[0, 1])
+    # Python floats round as numpy's float64 scalars do, without their
+    # per-operation dispatch.
+    (k00, k01), (_, k11) = K.tolist()
+    half_diff = 0.5 * (k00 - k11)
+    mean = 0.5 * (k00 + k11)
+    root = math.hypot(half_diff, k01)
     lam_max, lam_min = mean + root, max(mean - root, 0.0)
     if not lam_max > 0.0:
         raise ValueError("shape matrix has no positive direction")
-    angle = 0.5 * math.atan2(2.0 * K[0, 1], K[0, 0] - K[1, 1])
+    angle = 0.5 * math.atan2(2.0 * k01, k00 - k11)
     return math.sqrt(lam_max), math.sqrt(lam_min), angle
 
 

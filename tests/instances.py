@@ -45,6 +45,19 @@ def unit_direction(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / float(np.linalg.norm(v))
 
 
+def awkward_floats(rng: np.random.Generator, shape) -> np.ndarray:
+    """float64 entries drawn from four kinds, in proportions drawn per call:
+    moderate values over six decades, subnormals, signed zeros, and
+    magnitudes near 1e300."""
+    moderate = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    subnormal = rng.integers(1, 2**52, size=shape) * 5e-324
+    zero = np.zeros(shape)
+    huge = rng.uniform(0.5, 1.0, size=shape) * 1e300
+    pick = rng.choice(4, size=shape, p=rng.dirichlet(np.ones(4)))
+    out = np.choose(pick, [moderate, subnormal, zero, huge])
+    return np.where(rng.integers(0, 2, size=shape) == 1, -out, out)
+
+
 def random_pd(rng: np.random.Generator, n: int, floor: float = 0.5) -> np.ndarray:
     """G G^T + floor*I: positive definite with eigenvalues >= floor."""
     G = rng.normal(size=(n, n))

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellipsoid.cli
 import ellipsoid.oracle
 from ellipsoid.cli import DEFAULT_EPSILON_FACTOR, _trace_line, main
 from ellipsoid.engine import ball, step_log_ratio
 from ellipsoid.problems import parse_problem, to_linear_system
-from ellipsoid.solver import TraceRecord
+from ellipsoid.solver import TraceRecord, VolumeExhausted
 from instances import feasible_instance, infeasible_instance
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -229,7 +230,8 @@ def test_default_epsilon_is_a_fraction_of_the_ball_volume(tmp_path, capsys, dim,
 
 
 def test_default_epsilon_beyond_the_float_range_exits_2(tmp_path, capsys):
-    doc = {"dim": 4, "radius": 1e200,
+    # R^2 = 1e200 is finite, but the ball's volume, about R^4, is not.
+    doc = {"dim": 4, "radius": 1e100,
            "constraints": [{"a": [1.0, 0.0, 0.0, 0.0], "b": 0.0, "sense": ">="}]}
     assert main(["--input", write_problem(tmp_path, doc)]) == 2
     assert "pass --epsilon" in capsys.readouterr().err
@@ -274,6 +276,58 @@ def test_iteration_cap_makes_no_claim_for_the_oracle(tmp_path, capsys):
     assert report["oracle"]["agreement"] == "no_claim"
     assert main(argv) == 1
     assert "oracle: no_claim" in capsys.readouterr().out
+
+
+# 0.3 <= 0.6 x1 + 0.8 x2 <= 0.30000001: non-empty, 1e-8 thick.
+THIN_SLAB_DOC = {
+    "dim": 2,
+    "radius": 2.0,
+    "constraints": [
+        {"a": [0.6, 0.8], "b": 0.3, "sense": ">="},
+        {"a": [0.6, 0.8], "b": 0.30000001, "sense": "<="},
+    ],
+}
+
+
+def test_thin_region_is_consistent_with_exhausted_volume(tmp_path, capsys):
+    # The region is non-empty but far thinner than a ball of volume 1e-2,
+    # so the solver's claim and the oracle's witness do not contradict.
+    path = write_problem(tmp_path, THIN_SLAB_DOC)
+    argv = ["--input", path, "--verify", "--tol", "0", "--epsilon", "1e-2"]
+    assert main(argv + ["--output", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "volume_exhausted"
+    assert report["oracle"]["verdict"] == "feasible"
+    assert report["oracle"]["witness_margin"] <= 1e-8
+    assert report["oracle"]["agreement"] == "consistent"
+    assert main(argv) == 1
+    assert "oracle: consistent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("epsilon, agreement", [(1e-2, "disagree"), (20.0, "consistent")])
+def test_exhausted_volume_on_a_roomy_region(tmp_path, capsys, monkeypatch, epsilon, agreement):
+    # x1, x2 >= 0.5 within radius 2 holds a disc of radius about 0.54, area
+    # about 0.9: a run claiming volume below 1e-2 there is wrong, one
+    # claiming below 20 is not.  The least-norm witness (0.5, 0.5) lies on
+    # both rows; the margin comes from a deeper witness.
+    monkeypatch.setattr(ellipsoid.cli, "solve", lambda sys, cfg: VolumeExhausted(-10.0, 7))
+    path = write_problem(tmp_path, FEASIBLE_DOC)
+    argv = ["--input", path, "--output", "json", "--verify", "--epsilon", repr(epsilon)]
+    assert main(argv) == 1
+    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    assert oracle["witness"] == [0.5, 0.5]
+    assert oracle["agreement"] == agreement
+    r = oracle["witness_margin"]
+    assert (r > 0.0 and math.pi * r * r >= epsilon) == (agreement == "disagree")
+
+
+def test_radius_whose_square_overflows_exits_2(tmp_path, capsys):
+    doc = {"dim": 2, "radius": 1e200,
+           "constraints": [{"a": [1.0, 0.0], "b": 0.5, "sense": ">="}]}
+    assert main(["--input", write_problem(tmp_path, doc), "--epsilon", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: radius must be positive with a finite square, got 1e+200\n"
 
 
 def test_rejects_negative_iteration_cap(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsoid.linalg import cholesky, mat_vec, quadratic_form, rank1_downdate
-from instances import random_pd, symmetrize
+from instances import awkward_floats, random_pd, symmetrize
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -245,3 +245,26 @@ def test_cholesky_edge_inputs_warn_nothing():
         # A pivot of 1e-320 is subnormal but positive; its root squares back
         # to a positive number, so the matrix is accepted.
         assert cholesky(np.diag([1e-320, 1.0])) is not None
+
+
+def operand(rng, n: int, transposed: bool) -> np.ndarray:
+    """An n x n matrix of awkward entries, C-ordered or the transpose of one."""
+    M = awkward_floats(rng, (n, n))
+    return M.T if transposed else M
+
+
+@given(seeds, st.integers(min_value=1, max_value=40), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_products_are_the_matmul_forms_bit_for_bit(seed, n, transposed):
+    # mat_vec and quadratic_form multiply through ndarray.dot; their bytes,
+    # and the downdate's, must be those of the @ and np.outer forms on the
+    # same operands, overflow, NaN, subnormal and signed-zero results
+    # included, n = 1 too.
+    rng = np.random.default_rng(seed)
+    M, v = operand(rng, n, transposed), awkward_floats(rng, n)
+    beta = float(rng.uniform(0.0, 2.0))
+    with np.errstate(all="ignore"):
+        assert mat_vec(M, v).tobytes() == (M @ v).tobytes()
+        assert np.float64(quadratic_form(M, v)).tobytes() == (v @ (M @ v)).tobytes()
+        expected = M - beta * np.outer(v, v)
+        assert rank1_downdate(M, v, beta).tobytes() == expected.tobytes()

@@ -566,3 +566,40 @@ def test_padding_rows_leave_the_witness_unchanged(n):
     verdict, padded_verdict = vertex_enumeration_check(sys), vertex_enumeration_check(padded)
     assert_valid_witness(padded, padded_verdict)
     assert padded_verdict.point.tobytes() == verdict.point.tobytes()
+
+
+def test_exactly_singular_active_stack_is_rejected_not_raised():
+    # Two equal rows as an n = 2 active set: the LU solve of an exactly
+    # singular stack yields NaN, which _satisfies rejects, and the next
+    # candidate, -r[:n] / r[n], still comes.
+    A, b = np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([1.0, 1.0])
+    r = np.array([0.5, 0.25, -0.5])
+    with np.errstate(all="ignore"):
+        first, last = ellipsoid.oracle._candidates(A, b, np.array([0, 1]), r)
+    assert np.isnan(first).all()
+    assert not ellipsoid.oracle._satisfies(A, b, 2.0, first)
+    assert last.tobytes() == np.array([1.0, 0.5]).tobytes()
+
+
+@pytest.mark.parametrize("copies", [1, 4])
+def test_gap_with_a_singular_active_stack_keeps_its_certificate(copies, monkeypatch):
+    # x1 >= 1.5 and x1 <= 1: the NNLS ends with both rows active, so k = n
+    # and A_S = [e1; -e1] is singular.  The verdict and the bytes of y are
+    # those of the np.linalg.solve path, which raised LinAlgError there.
+    e1 = np.eye(2)[0]
+    sys = LinearSystem(2, (Constraint(e1, 1.5), Constraint(-e1, -1.0)) * copies, 2.0)
+    stacks = []
+    candidates = ellipsoid.oracle._candidates
+
+    def recording(A, b, active, r):
+        stacks.append(active.tolist())
+        return candidates(A, b, active, r)
+
+    monkeypatch.setattr(ellipsoid.oracle, "_candidates", recording)
+    verdict = vertex_enumeration_check(sys)
+    assert stacks == [[0, 1]]
+    assert isinstance(verdict, Infeasible)
+    expected = np.zeros(2 * copies)
+    expected[:2] = float.fromhex("0x1.0000000000003p+1"), float.fromhex("0x1.0000000000005p+1")
+    assert verdict.y.tobytes() == expected.tobytes()
+    assert exact_certificate(*ellipsoid.oracle._arrays(sys), sys.radius, verdict.y)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellipsoid.engine import Cut, DegenerateCutError, PDLostError, ball, step_log_ratio
+from ellipsoid import solver
 from ellipsoid.solver import (
     Constraint,
     Feasible,
@@ -26,6 +27,7 @@ from ellipsoid.solver import (
     solve,
 )
 from instances import (
+    awkward_floats,
     feasible_instance,
     infeasible_instance,
     reference_central_cut_update,
@@ -80,6 +82,23 @@ def test_linear_system_validation():
         LinearSystem(2, (), -1.0)
     with pytest.raises(ValueError):
         LinearSystem(2, (Constraint(np.array([1.0]), 0.0),), 1.0)
+
+
+@pytest.mark.parametrize("radius", [1e155, 1e200, 1.7e308, math.inf, math.nan])
+def test_radius_whose_square_is_not_finite_is_rejected(radius):
+    # K = R^2 I would hold inf, and the first cut would read a^T K a = nan.
+    with pytest.raises(ValueError, match="finite square"):
+        LinearSystem(2, (), radius)
+    if radius > 0.0:
+        with pytest.raises(ValueError, match="finite square"):
+            ball(2, radius)
+
+
+def test_largest_radii_with_a_finite_square_are_kept():
+    radius = 1.3e154
+    assert math.isfinite(radius * radius)
+    assert LinearSystem(2, (), radius).radius == radius
+    np.testing.assert_array_equal(ball(3, radius).shape, radius * radius * np.eye(3))
 
 
 def test_solver_config_validation():
@@ -628,3 +647,65 @@ def test_one_dimensional_solve_matches_exact_interval(seed, m, tol, gap):
     else:
         assert isinstance(out, VolumeExhausted) and out.final_log_volume == -math.inf
         assert hi - lo <= fuzz
+
+
+def test_one_row_one_dimensional_slack_at_zero_is_positive_zero():
+    # -1e-9 x >= 0 with tol 1e-9 passes up to x = 1 = R, so the interval is
+    # [-1, 1] and the point 0.0.  Its product -1e-9 * 0.0 is -0.0 as a
+    # multiplication; as the @ form it is 0.0 + (-0.0) = 0.0, and so is the
+    # slack.
+    sys = LinearSystem(1, (Constraint(np.array([-1e-9]), 0.0),), 1.0)
+    outcome = solve(sys, SolverConfig(epsilon=1e-3, violation_tolerance=1e-9))
+    assert outcome.point.tobytes() == np.zeros(1).tobytes()
+    report = certify(outcome, sys, violation_tolerance=1e-9)
+    assert report.passed
+    assert math.copysign(1.0, report.min_slack) == 1.0 and report.min_slack == 0.0
+
+
+class MatmulDot(np.ndarray):
+    """A view whose ``dot`` is ``@``: the solver's products in their @ form."""
+
+    def dot(self, other):
+        return self.view(np.ndarray) @ other
+
+
+def awkward_system(rng, n: int, m: int) -> LinearSystem:
+    """Rows of awkward entries (see instances), each with one moderate entry
+    so that a.a > 0."""
+    A = awkward_floats(rng, (m, n))
+    A[np.arange(m), rng.integers(0, n, size=m)] = rng.normal(size=m) + 2.0
+    b = awkward_floats(rng, m)
+    return LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), 1.0)
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=45),
+    st.sampled_from([0.0, 1e-9]),
+)
+@settings(max_examples=200, deadline=None)
+def test_packed_products_are_the_matmul_form_bit_for_bit(seed, n, m, tol):
+    # find_violated and certify multiply the packed rows by a point through
+    # ndarray.dot.  Its bytes are those of @ on that m x n layout, except
+    # that a 1 x 1 dot can leave a zero negative where @ adds it to +0.0;
+    # both functions then return what their @ form returns.
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        sys = awkward_system(rng, n, m)
+        x = awkward_floats(rng, n)
+        A = solver._stacked_normals(sys)
+        if A.size > 1:
+            assert A.dot(x).tobytes() == (A @ x).tobytes()
+        else:
+            assert (A.dot(x) + 0.0).tobytes() == (A @ x).tobytes()
+
+        hit = find_violated(sys, x, tol)
+        report = certify(Feasible(x, 0), sys, violation_tolerance=tol)
+        stacked = solver._stacked_normals
+        mp.setattr(solver, "_stacked_normals", lambda s: stacked(s).view(MatmulDot))
+        assert find_violated(sys, x, tol) == hit
+        expected = certify(Feasible(x, 0), sys, violation_tolerance=tol)
+    assert report.worst_index == expected.worst_index
+    assert report.passed == expected.passed
+    assert np.float64(report.min_slack).tobytes() == np.float64(expected.min_slack).tobytes()

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import struct
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -19,7 +20,13 @@ from ellipsoid.cli import main, replay_shapes
 from ellipsoid.engine import Cut, ball, central_cut_update, log_unit_ball_volume
 from ellipsoid.solver import Constraint, LinearSystem, SolverConfig, solve
 from ellipsoid.svgplot import ellipse_axes, emit_svg_trace
-from instances import feasible_instance, infeasible_instance, unit_direction
+from instances import (
+    awkward_floats,
+    feasible_instance,
+    infeasible_instance,
+    random_pd,
+    unit_direction,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -56,6 +63,41 @@ def test_ellipse_axes_clamps_degenerate_minor():
         ellipse_axes(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ellipse_axes(np.eye(3))
+
+
+def reference_ellipse_axes(K: np.ndarray) -> tuple[float, float, float]:
+    """ellipse_axes on numpy float64 scalars read by indexing."""
+    half_diff = 0.5 * (K[0, 0] - K[1, 1])
+    mean = 0.5 * (K[0, 0] + K[1, 1])
+    root = math.hypot(half_diff, K[0, 1])
+    lam_max, lam_min = mean + root, max(mean - root, 0.0)
+    if not lam_max > 0.0:
+        raise ValueError("shape matrix has no positive direction")
+    angle = 0.5 * math.atan2(2.0 * K[0, 1], K[0, 0] - K[1, 1])
+    return math.sqrt(lam_max), math.sqrt(lam_min), angle
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["pd", "awkward"]))
+@settings(max_examples=300, deadline=None)
+def test_ellipse_axes_matches_the_numpy_scalar_reference(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "pd":
+        K = random_pd(rng, 2) * 10.0 ** rng.uniform(-30.0, 30.0)
+    else:
+        K = awkward_floats(rng, (2, 2))
+        K[1, 0] = K[0, 1]
+    with np.errstate(all="ignore"):
+        try:
+            expected = reference_ellipse_axes(K)
+        except ValueError:
+            expected = None
+    if expected is None:
+        with pytest.raises(ValueError):
+            ellipse_axes(K)
+    else:
+        got = ellipse_axes(K)
+        assert all(type(v) is float for v in got)
+        assert struct.pack("<3d", *got) == struct.pack("<3d", *expected)
 
 
 def test_emitter_rejects_other_dimensions():
