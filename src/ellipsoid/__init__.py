@@ -10,8 +10,8 @@ shrinking the volume by a fixed dimension-dependent factor.
 
 Layout (import from the submodules; the package root exports nothing else):
 
-- :mod:`ellipsoid.linalg`   dense symmetric kernels and the Cholesky PD check
-- :mod:`ellipsoid.engine`   ellipsoid state and the central-cut update
+- :mod:`ellipsoid.engine`   ellipsoid state, the central-cut update and its
+  kernels (products, rank-one downdate, the Cholesky PD check)
 - :mod:`ellipsoid.solver`   the cutting loop, outcomes, certification
 - :mod:`ellipsoid.oracle`   exact ground truth for small instances
 - :mod:`ellipsoid.problems` problem-file parsing / serialization

@@ -23,6 +23,20 @@ carry its log-volume incrementally instead of recomputing determinants.
 
 Update formulas have an ``n^2 - 1`` denominator, so ``n >= 2`` is required
 here; one-dimensional problems are handled upstream by interval arithmetic.
+
+The update's kernels live here too and check no operand: the :class:`Cut`
+and :class:`EllipsoidState` constructors and :func:`central_cut_update`
+check them first.  ``M - beta * w w^T`` is exactly symmetric when ``M`` is,
+because ``w_i * w_j`` and ``w_j * w_i`` round alike.  PD means a Cholesky
+factor with strictly positive pivots, from the LAPACK potrf gufunc that
+``np.linalg.cholesky`` wraps: the same bytes without the wrapper's per-call
+handling, and NaN instead of an exception on failure.  Products go through
+``ndarray.dot``, which reaches the same BLAS gemv or ddot as ``@`` without
+the matmul gufunc's dispatch (0.7 to 1.3 us per call on these operands,
+numpy 2.4, one BLAS thread).  A product of one element takes ``@``: ``dot``
+multiplies the two entries, where ``@`` adds their product to +0.0, so a
+zero can differ in sign.  The tests pin every kernel byte for byte against
+the ``@``, ``np.outer`` and ``np.linalg.cholesky`` forms.
 """
 
 from __future__ import annotations
@@ -30,14 +44,73 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .linalg import as_vector, cholesky, mat_vec, rank1_downdate
+if TYPE_CHECKING:
+    from .solver import Constraint
 
 # a^T K a at or below this is treated as a degenerate cut: the square root
 # and the division in the update would be meaningless.
 QF_FLOOR = 1e-300
+
+
+def as_vector(v, dim: int | None = None) -> np.ndarray:
+    """Validate and return ``v`` as a 1-D float64 array with finite entries."""
+    out = np.asarray(v, dtype=float)
+    if out.ndim != 1 or out.size < 1:
+        raise ValueError(f"expected a 1-D vector, got shape {out.shape}")
+    if dim is not None and out.size != dim:
+        raise ValueError(f"vector has length {out.size}, expected {dim}")
+    if not np.isfinite(out).all():
+        raise ValueError("vector entries must be finite")
+    return out
+
+
+def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # A 1 x 1 product is the one-element case of the module docstring.
+    return M.dot(v) if v.size > 1 else M @ v
+
+
+def quadratic_form(M: np.ndarray, v: np.ndarray) -> float:
+    """Return v^T M v.  Positive for PD ``M`` and nonzero ``v``."""
+    # M v here, not through mat_vec: traced runs count one mat_vec per cut.
+    return float(v.dot(M.dot(v)) if v.size > 1 else v @ (M @ v))
+
+
+def rank1_downdate(M: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
+    """Return M - beta * w w^T; exactly symmetric when ``M`` is."""
+    # One buffer: the products w_i * w_j, then times beta, then M minus
+    # them, the same operations as M - beta * np.outer(w, w).
+    out = w[:, None] * w
+    out *= beta
+    np.subtract(M, out, out=out)
+    return out
+
+
+def cholesky(M: np.ndarray) -> np.ndarray | None:
+    """Lower-triangular L with L L^T = M, or None when M is not PD.
+
+    Every pivot must be strictly positive; not-PD is a normal return, not an
+    error.  No relative tolerance applies: long one-directional cut
+    sequences drive the condition number up geometrically while the matrix
+    stays genuinely PD.
+    """
+    # potrf stops at a pivot <= 0 (or NaN); the gufunc then fills L with NaN
+    # and raises the invalid flag, silenced here.
+    with np.errstate(all="ignore"):
+        L = _umath_linalg.cholesky_lo(M, signature="d->d")
+    # The squared diagonal of L is the pivot sequence; a square that
+    # underflows to 0 is rejected too.  Squaring is monotone on the
+    # nonnegative diagonal, so the least entry decides, and NaN propagates
+    # through the minimum.  A 0 x 0 matrix has no pivot to test.
+    if L.size:
+        least = np.minimum.reduce(L.diagonal())
+        if not least * least > 0.0:
+            return None
+    return L
 
 
 class DegenerateCutError(ArithmeticError):
@@ -96,17 +169,6 @@ class EllipsoidState:
         return self.center.size
 
 
-def _frozen_cut(normal: np.ndarray) -> Cut:
-    """Wrap a validated, read-only 1-D float normal without the constructor's
-    copy.  The nonzero test is the constructor's: np.linalg.norm of a 1-D
-    float array is sqrt(a.dot(a))."""
-    if not math.sqrt(normal.dot(normal)) > 1e-300:
-        raise ValueError("cut normal must be nonzero")
-    cut = object.__new__(Cut)
-    object.__setattr__(cut, "normal", normal)
-    return cut
-
-
 def _frozen_state(center: np.ndarray, shape: np.ndarray, log_volume: float) -> EllipsoidState:
     """Wrap freshly computed, matching arrays without the constructor's copies."""
     center.setflags(write=False)
@@ -144,16 +206,18 @@ def step_log_ratio(n: int) -> float:
     return 0.5 * (nn * math.log(nn * nn / (nn * nn - 1.0)) + math.log((nn - 1.0) / (nn + 1.0)))
 
 
-def central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
+def central_cut_update(state: EllipsoidState, cut: Cut | Constraint) -> EllipsoidState:
     """Smallest ellipsoid containing {x in state : a^T x >= a^T center}.
 
+    ``a`` is the normal of a :class:`Cut` or of the violated
+    :class:`~ellipsoid.solver.Constraint`, which checks it as strictly.
     Raises :class:`DegenerateCutError` when ``a^T K a`` underflows and
     :class:`PDLostError` when the updated shape fails PD certification.
     """
     n = state.center.size
     if n < 2:
         raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
-    # The Cut and EllipsoidState constructors already validated and froze
+    # The constructors of the cut and the state already validated and froze
     # these arrays; only the pairing of the two can still be wrong.
     a = cut.normal
     if a.size != n:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .solver import LinearSystem, _stacked_normals
 
@@ -145,16 +144,15 @@ def _candidates(A: np.ndarray, b: np.ndarray, active: np.ndarray, r: np.ndarray)
     (solved as one subset of a full enumeration would be: LU for n rows,
     else QR of A_S^T, never the normal equations), then -r[:n] / r[n].
 
-    The LU solve is the gufunc ``np.linalg.solve`` wraps, run under the
-    caller's ``errstate``: an exactly singular stack comes back NaN, which
-    ``_satisfies`` rejects, where the wrapper raises ``LinAlgError``."""
+    An exactly singular stack makes ``np.linalg.solve`` raise
+    ``LinAlgError`` and yields no projection."""
     k, n = active.size, A.shape[1]
     A_S, b_S = A[active], b[active][:, None]
     try:
         if k == 0:
             yield np.zeros(n)
         elif k == n:
-            yield _umath_linalg.solve(A_S, b_S, signature="dd->d")[:, 0]
+            yield np.linalg.solve(A_S, b_S)[:, 0]
         elif k < n:
             q, R = np.linalg.qr(A_S.T)
             yield (q @ np.linalg.solve(R.T, b_S))[:, 0]

@@ -22,14 +22,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .engine import (
-    Cut,
     DegenerateCutError,
     PDLostError,
-    _frozen_cut,
+    as_vector,
     ball,
     central_cut_update,
+    quadratic_form,
 )
-from .linalg import as_vector, quadratic_form
 
 DEFAULT_VIOLATION_TOL = 1e-9
 
@@ -53,7 +52,9 @@ class Constraint:
     def __post_init__(self):
         normal = as_vector(self.normal).copy()
         # a.a > 0 decides as np.linalg.norm(a) > 0 does: the norm is its root.
-        if not normal.dot(normal) > 0.0:
+        # vdot runs the same ddot as ndarray.dot but raises no overflow
+        # warning when a.a is inf, which is still > 0.
+        if not np.vdot(normal, normal) > 0.0:
             raise ValueError("constraint normal must be nonzero")
         if not math.isfinite(self.bound):
             raise ValueError("constraint bound must be finite")
@@ -69,10 +70,6 @@ class Constraint:
         if sense == "<=":
             return cls(-np.asarray(a, dtype=float), -b)
         raise ValueError(f'sense must be ">=" or "<=", got {sense!r}')
-
-    def slack(self, x) -> float:
-        """a^T x - b; nonnegative iff satisfied exactly."""
-        return float(self.normal @ np.asarray(x, dtype=float)) - self.bound
 
 
 def _frozen_constraint(normal: np.ndarray, bound: float) -> Constraint:
@@ -204,7 +201,7 @@ class _PackedRows:
     ``constraints`` and ``dim`` are those of the packed system.
     """
 
-    __slots__ = ("constraints", "dim", "A", "floor", "inv_norm", "tol")
+    __slots__ = ("constraints", "dim", "A", "floor", "inv_norm")
 
     def __init__(self, sys: LinearSystem, tol: float, norms: bool = True):
         cons = self.constraints = sys.constraints
@@ -215,7 +212,6 @@ class _PackedRows:
         # Constraint checks a.a > 0, so each entry is finite; it is 0 only
         # where a.a overflows.
         self.inv_norm = 1.0 / np.sqrt(np.einsum("ij,ij->i", A, A)) if norms else None
-        self.tol = tol
 
 
 def find_violated(
@@ -228,17 +224,17 @@ def find_violated(
     largest ``(b - tol*(1+|b|) - a^T x) / ||a||``, the lowest index on a tie.
 
     ``sys`` may be a :class:`LinearSystem`, packed and ``x`` validated here
-    for this call, or rows already packed with the same ``tol``, which the
-    solve loop passes with its own (already valid) center.
+    for this call, or the solve loop's rows, packed with its ``tol``, which
+    it passes with its own (already valid) center.
     """
-    if isinstance(sys, _PackedRows) and sys.tol == tol:
+    if isinstance(sys, _PackedRows):
         rows, point = sys, x
     else:
         rows, point = _PackedRows(sys, tol), as_vector(x, sys.dim)
     # depth > 0 exactly where A @ x < floor: IEEE subtraction of unequal
     # floats never rounds to 0.  ndarray.dot is A @ x without the gufunc
     # dispatch; the sign of a zero, where a 1 x 1 product may differ (see
-    # linalg), decides nothing here.
+    # engine), decides nothing here.
     depth = rows.floor - rows.A.dot(point)
     if not depth.size:
         return None
@@ -322,9 +318,6 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
 
     tol, trace = cfg.violation_tolerance, cfg.trace
     rows = _PackedRows(sys, tol)
-    # One Cut per violated row, around the row's own frozen normal, reused by
-    # every later cut on that row.
-    row_cuts: dict[int, Cut] = {}
     cuts = 0
     while True:
         hit = find_violated(rows, state.center, tol)
@@ -339,13 +332,12 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
         if cuts >= cap:
             return IterationCapReached(cuts)
 
+        # The row's own normal is the cut: Constraint froze it and checked
+        # it finite and nonzero, as Cut would.
         index, con = hit
-        cut = row_cuts.get(index)
-        if cut is None:
-            cut = row_cuts[index] = _frozen_cut(con.normal)
         aKa = quadratic_form(state.shape, con.normal) if trace is not None else None
         try:
-            state = central_cut_update(state, cut)
+            state = central_cut_update(state, con)
         except (DegenerateCutError, PDLostError) as exc:
             raise NumericalBreakdown(cuts, str(exc)) from exc
         if trace is not None:
@@ -395,7 +387,7 @@ def certify(
         # tolerance.  A NaN margin fails.
         rows = _PackedRows(sys, violation_tolerance, norms=False)
         # ndarray.dot is A @ x without the gufunc dispatch, except that a
-        # 1 x 1 product may leave a zero negative (see linalg), which the
+        # 1 x 1 product may leave a zero negative (see engine), which the
         # reported min_slack would show.
         A = rows.A
         products = A.dot(outcome.point) if A.size > 1 else A @ outcome.point

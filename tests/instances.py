@@ -86,7 +86,7 @@ def sample_in_ellipsoid(
 
 
 def reference_central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
-    """The central-cut update in plain numpy, independent of ``ellipsoid.linalg``.
+    """The central-cut update in plain numpy, independent of the engine's kernels.
 
     It re-validates its inputs, symmetrizes the scaled downdate again and
     certifies PD through the squared pivots of ``np.linalg.cholesky``.

@@ -16,9 +16,10 @@ from ellipsoid.engine import (
     PDLostError,
     ball,
     central_cut_update,
+    cholesky,
     step_log_ratio,
 )
-from ellipsoid.linalg import cholesky
+from ellipsoid.solver import Constraint
 from instances import (
     contains,
     log_volume_from_shape,
@@ -288,6 +289,23 @@ def test_update_breaks_down_where_the_reference_does():
     assert assert_same_sequence(ball(2, 2.0), [cut] * 100) is PDLostError
     flat = EllipsoidState(np.zeros(2), np.diag([1e-320, 1.0]), 0.0)
     assert assert_same_sequence(flat, [Cut(np.array([1.0, 0.0]))]) is DegenerateCutError
+
+
+@given(seeds, st.integers(min_value=2, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_cut_on_a_constraint_is_the_cut_on_its_normal(seed, n):
+    # The solve loop cuts on the violated row itself; that must be the
+    # update on a Cut of the row's normal, byte for byte.
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, n)
+    for _ in range(3):
+        con = Constraint(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), float(rng.normal()))
+        got = central_cut_update(state, con)
+        want = central_cut_update(state, Cut(con.normal))
+        assert got.center.tobytes() == want.center.tobytes()
+        assert got.shape.tobytes() == want.shape.tobytes()
+        assert np.float64(got.log_volume).tobytes() == np.float64(want.log_volume).tobytes()
+        state = got
 
 
 def test_update_checks_cut_length():

@@ -72,7 +72,24 @@ def test_constraint_validation_and_senses():
     np.testing.assert_array_equal(ge.normal, [1.0, 0.0])
     with pytest.raises(ValueError):
         Constraint.from_row([1.0], 0.5, "==")
-    assert Constraint(np.array([2.0, 0.0]), 1.0).slack([1.0, 5.0]) == 1.0
+
+
+@pytest.mark.parametrize("normal", [
+    [6.5e299, 3.5], [1e-200, 1e-200], [1e-160, 0.0], [1e-162, 0.0], [5e-324, 0.0],
+    [2.5e-162, 2.5e-162], [1.2e-162, 1.2e-162, 1.2e-162], [1e308, -1e308], [0.0, -0.0],
+])
+def test_constraint_accepts_the_normals_that_a_dot_a_accepts(normal):
+    # Nonzero means a.a > 0 in floats: a row whose squares all underflow is
+    # rejected like the zero row, one whose a.a overflows is kept, and
+    # building it warns nothing (the suite turns warnings into errors).
+    a = np.array(normal)
+    with np.errstate(all="ignore"):
+        valid = bool(a.dot(a) > 0.0)
+    if valid:
+        assert Constraint(a, 0.0).normal.tobytes() == a.tobytes()
+    else:
+        with pytest.raises(ValueError):
+            Constraint(a, 0.0)
 
 
 def test_linear_system_validation():
@@ -383,7 +400,7 @@ def test_solve_feasible_quadrant():
     out = solve(sys, SolverConfig(epsilon=1e-6))
     assert isinstance(out, Feasible)
     for con in sys.constraints:
-        assert con.slack(out.point) >= -row_tolerance(1e-9, con.bound)
+        assert con.normal @ out.point - con.bound >= -row_tolerance(1e-9, con.bound)
     report = certify(out, sys)
     assert report.kind == "feasible" and report.passed
 
@@ -588,7 +605,8 @@ def test_certify_accepts_exactly_what_separation_accepts(seed, n, m, tol):
             # The same slack up to the rounding of a different dot product.
             con = sys.constraints[report.worst_index]
             scale = float(np.abs(con.normal) @ np.abs(x)) + abs(con.bound)
-            assert report.min_slack == pytest.approx(con.slack(x), rel=0.0, abs=1e-12 * scale)
+            slack = float(con.normal @ x) - con.bound
+            assert report.min_slack == pytest.approx(slack, rel=0.0, abs=1e-12 * scale)
 
 
 def test_one_dimensional_solve_honours_tolerance():
