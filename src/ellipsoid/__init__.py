@@ -10,8 +10,8 @@ shrinking the volume by a fixed dimension-dependent factor.
 
 Layout (import from the submodules; the package root exports nothing else):
 
-- :mod:`ellipsoid.engine`   ellipsoid state, the central-cut update and its
-  kernels (products, rank-one downdate, the Cholesky PD check)
+- :mod:`ellipsoid.engine`   ellipsoid state as a factor J, the central-cut
+  update, the volume audit and the kernels (products, rank-one update)
 - :mod:`ellipsoid.solver`   the cutting loop, outcomes, certification
 - :mod:`ellipsoid.oracle`   exact ground truth for small instances
 - :mod:`ellipsoid.problems` problem-file parsing / serialization

@@ -20,7 +20,7 @@ import sys as _sys
 
 import numpy as np
 
-from .engine import ball, log_unit_ball_volume
+from .engine import log_unit_ball_volume
 from .oracle import (
     MAX_CONSTRAINTS,
     MAX_DIM,
@@ -63,8 +63,10 @@ def replay_shapes(sys: LinearSystem, records: list[TraceRecord]):
     cut_records = [r for r in records if r.violated_index is not None]
     if not cut_records:
         return []
-    start = ball(sys.dim, sys.radius)
-    return [(start.center, start.shape)] + [
+    # The bounding ball's shape, R^2 I, as engine.ball forms it.
+    start = sys.radius * sys.radius * np.eye(sys.dim)
+    start.setflags(write=False)
+    return [(np.zeros(sys.dim), start)] + [
         (np.array(rec.center), rec.shape) for rec in cut_records
     ]
 

@@ -1,42 +1,52 @@
 """Ellipsoid state and the central-cut update.
 
-An ellipsoid is the set ``{x : (x - c)^T K^{-1} (x - c) <= 1}`` for a center
-``c`` and a symmetric positive definite shape matrix ``K``.  The engine never
-forms ``K^{-1}``: the update works on ``K`` directly.
+An ellipsoid is ``E = {c + J u : ||u|| <= 1}`` for a center ``c`` and a
+nonsingular factor ``J``; its shape matrix is ``K = J J^T``.  The engine
+carries ``J``, the factored form of Bland, Goldfarb & Todd (*The ellipsoid
+method: a survey*, Oper. Res. 29(6), 1981, section 6): map E to the unit
+ball, halve the ball, map the smallest ellipsoid around the half back.
 
-Given a cut normal ``a`` (nonzero), the central-cut update replaces the
-current ellipsoid with the smallest-volume ellipsoid containing the half
+The central cut on a nonzero normal ``a`` keeps ``{x in E : a^T x >= a^T c}``,
+so the center moves along ``+K a``.  With ``v = J^T a``, ``g = v / ||v||``
+and ``u = J g``,
 
-    {x in E : a^T x >= a^T c},
+    c' = c + u / (n + 1)
+    J' = s (J - beta u g^T),  s = n / sqrt(n^2 - 1),  beta = 1 - sqrt((n - 1)/(n + 1))
 
-i.e. the half of E on the side the cut normal points to.  With
-``alpha = sqrt(a^T K a)`` the new ellipsoid is
+and ``J' J'^T = n^2/(n^2 - 1) (K - 2/(n + 1) (K a)(K a)^T / (a^T K a))`` is
+the K-form update.  ``J' = s J (I - beta g g^T)`` scales the volume by
+``s^n (1 - beta)`` on every cut (:func:`step_log_ratio`), so the state
+carries its log-volume incrementally.  ``n >= 2`` is required (the
+``n^2 - 1``); one-dimensional problems are solved upstream by intervals.
 
-    c' = c + K a / ((n + 1) * alpha)
-    K' = n^2/(n^2 - 1) * (K - 2/(n + 1) * (K a)(K a)^T / (a^T K a))
+K is positive semidefinite by construction, so no cut factors a matrix: the
+one Cholesky is where a state is built from a shape matrix (the
+:class:`EllipsoidState` constructor and :func:`ball`).  Rounding still drives
+J toward singular as cuts flatten E, until ``ln|det J|`` no longer matches the
+running log-volume; :func:`log_volume_drift` measures that.  The solver audits
+it every ``2n`` cuts and before every answer, so a run breaks down at the
+float64 wall instead of cutting on, and answering from, ellipsoids that mean
+nothing.  A cut multiplies cond(J) by at most ``1/(1 - beta) =
+sqrt((n+1)/(n-1))``, so two audits are at most ``((n+1)/(n-1))^n <= 9``-fold
+apart in cond(J).  The tolerance: a perturbation ``dJ`` moves ``ln|det J|`` by
+``tr(J^{-1} dJ)``, so one update's rounding moves it by about ``n u cond(J)``,
+u = 2^-53.  ``VOLUME_AUDIT_TOL`` = 1e-6 nats admits 400 cuts in n = 40 up to
+cond(J) about 5e5, and a claim off by 1e-6 nats is off by a factor 1 + 1e-6,
+which no epsilon can tell.  Every audit of the empty bench solves of seeds
+11-20 (n = 2..40) reads at most 3.1e-10 nats.  A thin tilted slab in the plane
+passes 1e-6 nats near cond(J) 1e10, some 45 cuts in; its center would leave
+the bounding ball near cond(J) 1e14.
 
-The cut plane ``a^T x = a^T c`` passes through the center, so orientation is
-a pure sign convention: this module keeps the ``>=`` side, and the center
-moves along ``+K a``.  Each update shrinks the volume by the same
-dimension-only factor (see :func:`step_log_ratio`), which lets the state
-carry its log-volume incrementally instead of recomputing determinants.
-
-Update formulas have an ``n^2 - 1`` denominator, so ``n >= 2`` is required
-here; one-dimensional problems are handled upstream by interval arithmetic.
-
-The update's kernels live here too and check no operand: the :class:`Cut`
-and :class:`EllipsoidState` constructors and :func:`central_cut_update`
-check them first.  ``M - beta * w w^T`` is exactly symmetric when ``M`` is,
-because ``w_i * w_j`` and ``w_j * w_i`` round alike.  PD means a Cholesky
-factor with strictly positive pivots, from the LAPACK potrf gufunc that
-``np.linalg.cholesky`` wraps: the same bytes without the wrapper's per-call
-handling, and NaN instead of an exception on failure.  Products go through
-``ndarray.dot``, which reaches the same BLAS gemv or ddot as ``@`` without
-the matmul gufunc's dispatch (0.7 to 1.3 us per call on these operands,
-numpy 2.4, one BLAS thread).  A product of one element takes ``@``: ``dot``
-multiplies the two entries, where ``@`` adds their product to +0.0, so a
-zero can differ in sign.  The tests pin every kernel byte for byte against
-the ``@``, ``np.outer`` and ``np.linalg.cholesky`` forms.
+The kernels check no operand: the :class:`Cut` and :class:`EllipsoidState`
+constructors and :func:`central_cut_update` check them first.
+``J.dot(J.T)`` takes BLAS syrk, which mirrors one triangle, so K is exactly
+symmetric.  Products go through
+``ndarray.dot``: the BLAS gemv or ddot of ``@`` without the matmul gufunc's
+dispatch (0.7 to 1.3 us per call, numpy 2.4, one BLAS thread), except that a
+product of one element takes ``@`` (``dot`` multiplies, ``@`` adds the
+product to +0.0, so a zero can differ in sign).  The tests pin the kernels
+byte for byte against the ``@``, ``np.outer`` and ``np.linalg.cholesky``
+forms.
 """
 
 from __future__ import annotations
@@ -47,14 +57,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 if TYPE_CHECKING:
     from .solver import Constraint
 
-# a^T K a at or below this is treated as a degenerate cut: the square root
-# and the division in the update would be meaningless.
+# ||J^T a||^2 = a^T K a at or below this is treated as a degenerate cut: the
+# square root and the division in the update would be meaningless.
 QF_FLOOR = 1e-300
+# Largest |running log-volume - ln vol(E)| the solver accepts, in nats.
+VOLUME_AUDIT_TOL = 1e-6
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
@@ -76,36 +87,31 @@ def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def quadratic_form(M: np.ndarray, v: np.ndarray) -> float:
     """Return v^T M v.  Positive for PD ``M`` and nonzero ``v``."""
-    # M v here, not through mat_vec: traced runs count one mat_vec per cut.
+    # M v here, not through mat_vec: traced runs count two mat_vec per cut.
     return float(v.dot(M.dot(v)) if v.size > 1 else v @ (M @ v))
 
 
-def rank1_downdate(M: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
-    """Return M - beta * w w^T; exactly symmetric when ``M`` is."""
-    # One buffer: the products w_i * w_j, then times beta, then M minus
-    # them, the same operations as M - beta * np.outer(w, w).
-    out = w[:, None] * w
+def rank1_downdate(M: np.ndarray, u: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
+    """Return M - beta * u v^T; exactly symmetric when ``M`` is and v is u."""
+    # One buffer: the products u_i * v_j, then times beta, then M minus
+    # them, the same operations as M - beta * np.outer(u, v).
+    out = u[:, None] * v
     out *= beta
     np.subtract(M, out, out=out)
     return out
 
 
 def cholesky(M: np.ndarray) -> np.ndarray | None:
-    """Lower-triangular L with L L^T = M, or None when M is not PD.
-
-    Every pivot must be strictly positive; not-PD is a normal return, not an
-    error.  No relative tolerance applies: long one-directional cut
-    sequences drive the condition number up geometrically while the matrix
-    stays genuinely PD.
-    """
-    # potrf stops at a pivot <= 0 (or NaN); the gufunc then fills L with NaN
-    # and raises the invalid flag, silenced here.
-    with np.errstate(all="ignore"):
-        L = _umath_linalg.cholesky_lo(M, signature="d->d")
-    # The squared diagonal of L is the pivot sequence; a square that
-    # underflows to 0 is rejected too.  Squaring is monotone on the
-    # nonnegative diagonal, so the least entry decides, and NaN propagates
-    # through the minimum.  A 0 x 0 matrix has no pivot to test.
+    """Lower-triangular L with L L^T = M, or None when M is not PD: some
+    pivot is not strictly positive.  No relative tolerance applies."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:  # a pivot <= 0
+        return None
+    # The squared diagonal of L is the pivot sequence: a square that underflows
+    # to 0 fails, as does a NaN pivot, which numpy returns without raising.
     if L.size:
         least = np.minimum.reduce(L.diagonal())
         if not least * least > 0.0:
@@ -114,11 +120,7 @@ def cholesky(M: np.ndarray) -> np.ndarray | None:
 
 
 class DegenerateCutError(ArithmeticError):
-    """Cut normal has (numerically) zero extent in the current ellipsoid."""
-
-
-class PDLostError(ArithmeticError):
-    """Shape matrix lost positive definiteness after an update."""
+    """Cut normal has (numerically) zero or non-finite extent in the ellipsoid."""
 
 
 def log_unit_ball_volume(n: int) -> float:
@@ -144,39 +146,55 @@ class Cut:
         object.__setattr__(self, "normal", normal)
 
 
-@dataclass(frozen=True)
 class EllipsoidState:
-    """Immutable ellipsoid: center, PD shape matrix, and running log-volume."""
+    """Immutable ellipsoid {c + J u : ||u|| <= 1}: ``center``, the read-only
+    ``factor`` J and the running ``log_volume``.  Built from a shape matrix K,
+    factored once (J = chol(K); a K that is not PD is a ValueError).
+    ``shape`` is J J^T, formed when first read, or the K it was built from."""
 
-    center: np.ndarray
-    shape: np.ndarray
-    log_volume: float
+    __slots__ = ("center", "factor", "log_volume", "_shape")
 
-    def __post_init__(self):
-        center = as_vector(self.center).copy()
-        shape = np.array(self.shape, dtype=float)
+    def __init__(self, center, shape, log_volume: float):
+        center = as_vector(center).copy()
+        shape = np.array(shape, dtype=float)
         if shape.shape != (center.size, center.size):
             raise ValueError(
                 f"shape matrix {shape.shape} does not match center of length {center.size}"
             )
-        center.flags.writeable = False
-        shape.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "shape", shape)
+        factor = cholesky(shape)
+        if factor is None:
+            raise ValueError("shape matrix is not positive definite")
+        _freeze(self, center, factor, float(log_volume), shape)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dim(self) -> int:
         return self.center.size
 
+    @property
+    def shape(self) -> np.ndarray:
+        K = self._shape
+        if K is None:
+            J = self.factor
+            K = J.dot(J.T)  # n >= 2: a state of dimension 1 is built from its K
+            K.setflags(write=False)
+            object.__setattr__(self, "_shape", K)
+        return K
 
-def _frozen_state(center: np.ndarray, shape: np.ndarray, log_volume: float) -> EllipsoidState:
-    """Wrap freshly computed, matching arrays without the constructor's copies."""
+
+def _freeze(state, center, factor, log_volume, shape=None) -> EllipsoidState:
+    """Fill ``state`` with freshly computed, matching arrays, made read-only."""
     center.setflags(write=False)
-    shape.setflags(write=False)
-    state = object.__new__(EllipsoidState)
-    object.__setattr__(state, "center", center)
-    object.__setattr__(state, "shape", shape)
-    object.__setattr__(state, "log_volume", log_volume)
+    factor.setflags(write=False)
+    if shape is not None:
+        shape.setflags(write=False)
+    put = object.__setattr__
+    put(state, "center", center)
+    put(state, "factor", factor)
+    put(state, "log_volume", log_volume)
+    put(state, "_shape", shape)
     return state
 
 
@@ -187,10 +205,12 @@ def ball(n: int, radius: float) -> EllipsoidState:
     if not radius > 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
     squared = radius * radius
-    if not math.isfinite(squared):
-        raise ValueError(f"radius must have a finite square, got {radius}")
+    if not 0.0 < squared < math.inf:
+        raise ValueError(f"radius must have a positive, finite square, got {radius}")
     log_volume = log_unit_ball_volume(n) + n * math.log(radius)
-    return _frozen_state(np.zeros(n), squared * np.eye(n), log_volume)
+    shape = squared * np.eye(n)
+    factor = cholesky(shape)
+    return _freeze(object.__new__(EllipsoidState), np.zeros(n), factor, log_volume, shape)
 
 
 @functools.cache
@@ -211,8 +231,8 @@ def central_cut_update(state: EllipsoidState, cut: Cut | Constraint) -> Ellipsoi
 
     ``a`` is the normal of a :class:`Cut` or of the violated
     :class:`~ellipsoid.solver.Constraint`, which checks it as strictly.
-    Raises :class:`DegenerateCutError` when ``a^T K a`` underflows and
-    :class:`PDLostError` when the updated shape fails PD certification.
+    Raises :class:`DegenerateCutError` when ``||J^T a||^2`` underflows or
+    is not finite.
     """
     n = state.center.size
     if n < 2:
@@ -223,35 +243,40 @@ def central_cut_update(state: EllipsoidState, cut: Cut | Constraint) -> Ellipsoi
     if a.size != n:
         raise ValueError(f"vector has length {a.size}, expected {n}")
 
-    K = state.shape
-    Ka = mat_vec(K, a)
-    aKa = float(a.dot(Ka))
-    if not aKa > QF_FLOOR:
-        raise DegenerateCutError(f"a^T K a = {aKa} is not positive; cut is degenerate")
+    J = state.factor
+    v = mat_vec(J.T, a)
+    vv = float(v.dot(v))
+    if not QF_FLOOR < vv < math.inf:
+        raise DegenerateCutError(f"||J^T a||^2 = {vv} is not in (QF_FLOOR, inf); degenerate cut")
+    g = v / math.sqrt(vv)
+    u = mat_vec(J, g)
+    # J - beta u g^T, then the s blow-up in place on the downdate's fresh array.
+    factor = rank1_downdate(J, u, g, 1.0 - math.sqrt((n - 1.0) / (n + 1.0)))
+    factor *= n / math.sqrt(n * n - 1.0)
+    center = state.center + u / (n + 1)
+    return _freeze(object.__new__(EllipsoidState), center, factor,
+                   state.log_volume + step_log_ratio(n))
 
-    alpha = math.sqrt(aKa)
-    center = state.center + Ka / ((n + 1) * alpha)
 
-    # K - 2/(n+1) * (Ka)(Ka)^T / aKa, then the n^2/(n^2-1) blow-up in place
-    # on the downdate's fresh array.  The downdate is exactly symmetric and a
-    # scalar multiple keeps it so.
-    shape = rank1_downdate(K, Ka, 2.0 / ((n + 1) * aKa))
-    shape *= n * n / (n * n - 1.0)
-
-    if cholesky(shape) is None:
-        raise PDLostError("updated shape matrix is no longer positive definite")
-
-    return _frozen_state(center, shape, state.log_volume + step_log_ratio(n))
+def log_volume_drift(state: EllipsoidState) -> float:
+    """|running log-volume - ln vol(E)|, with ln vol(E) from ln|det J|; inf
+    when det J is 0 or not finite."""
+    with np.errstate(invalid="ignore"):  # a NaN entry; its det is NaN
+        sign, log_det = np.linalg.slogdet(state.factor)
+    if not (sign != 0.0 and math.isfinite(log_det)):
+        return math.inf
+    return abs(state.log_volume - log_unit_ball_volume(state.dim) - float(log_det))
 
 
 __all__ = [
     "QF_FLOOR",
+    "VOLUME_AUDIT_TOL",
     "Cut",
     "DegenerateCutError",
     "EllipsoidState",
-    "PDLostError",
     "ball",
     "central_cut_update",
     "log_unit_ball_volume",
+    "log_volume_drift",
     "step_log_ratio",
 ]

@@ -22,11 +22,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .engine import (
+    VOLUME_AUDIT_TOL,
     DegenerateCutError,
-    PDLostError,
     as_vector,
     ball,
     central_cut_update,
+    log_volume_drift,
     quadratic_form,
 )
 
@@ -97,9 +98,10 @@ class LinearSystem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if not (math.isfinite(self.radius * self.radius) and self.radius > 0.0):
+        # A square of 0 would leave the ball's shape R^2 I without a factor.
+        if not (self.radius > 0.0 and 0.0 < self.radius * self.radius < math.inf):
             raise ValueError(
-                f"radius must be positive with a finite square, got {self.radius}"
+                f"radius must be positive with a nonzero, finite square, got {self.radius}"
             )
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for i, con in enumerate(self.constraints):
@@ -116,8 +118,8 @@ class TraceRecord:
     Cut records carry the violated row, the post-cut center, shape matrix and
     log-volume, and a^T K a of the cut.  The terminal feasible record has
     ``violated_index`` and ``cut_quadratic_form`` set to None and holds the
-    final center and shape.  ``shape`` is the state's own read-only array;
-    :meth:`as_dict` leaves it out.
+    final center and shape.  ``shape`` is the state's own read-only J J^T,
+    formed once per record; :meth:`as_dict` leaves it out.
     """
 
     iter: int
@@ -296,13 +298,24 @@ def _solve_interval(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
     return VolumeExhausted(-math.inf, 0)
 
 
+def _audit_volume(state, cuts: int) -> None:
+    drift = log_volume_drift(state)
+    if not drift <= VOLUME_AUDIT_TOL:
+        raise NumericalBreakdown(cuts, (
+            f"volume audit: the running log-volume is {drift:.3g} nats from "
+            f"ln|det J| (tolerance {VOLUME_AUDIT_TOL:g})" if drift < math.inf
+            else "volume audit: det J is 0 or not finite"))
+
+
 def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
     """Run the cutting loop from the bounding ball.
 
     Returns ``Feasible`` (center satisfying every row within tolerance),
     ``VolumeExhausted`` (log-volume fell below ln epsilon), or
     ``IterationCapReached`` (user-set cap hit first).  Raises
-    :class:`NumericalBreakdown` if a cut update fails numerically.
+    :class:`NumericalBreakdown` if a cut update fails numerically, or if
+    ``ln|det J|`` no longer bears out the running log-volume, which is
+    audited every 2n cuts and before every return (see :mod:`~ellipsoid.engine`).
     """
     n = sys.dim
     if n == 1:
@@ -321,6 +334,11 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
     cuts = 0
     while True:
         hit = find_violated(rows, state.center, tol)
+        # The volume audit stops a run at the float64 wall and vouches for
+        # every answer; 2n cuts grow cond(J) at most 9-fold (see engine).
+        if cuts and (hit is None or state.log_volume < log_eps or cuts >= cap
+                     or not cuts % (2 * n)):
+            _audit_volume(state, cuts)
         if hit is None:
             if trace is not None:
                 trace(TraceRecord(
@@ -338,7 +356,7 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
         aKa = quadratic_form(state.shape, con.normal) if trace is not None else None
         try:
             state = central_cut_update(state, con)
-        except (DegenerateCutError, PDLostError) as exc:
+        except DegenerateCutError as exc:
             raise NumericalBreakdown(cuts, str(exc)) from exc
         if trace is not None:
             trace(TraceRecord(

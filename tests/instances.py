@@ -8,14 +8,28 @@ import numpy as np
 
 from ellipsoid.engine import (
     QF_FLOOR,
+    VOLUME_AUDIT_TOL,
     Cut,
     DegenerateCutError,
     EllipsoidState,
-    PDLostError,
+    ball,
     log_unit_ball_volume,
     step_log_ratio,
 )
-from ellipsoid.solver import Constraint, LinearSystem
+from ellipsoid.solver import (
+    Constraint,
+    Feasible,
+    IterationCapReached,
+    LinearSystem,
+    SolverConfig,
+    VolumeExhausted,
+    iteration_cap,
+    row_tolerance,
+)
+
+
+class PDLostError(ArithmeticError):
+    """The K-form reference's updated shape matrix failed PD certification."""
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -86,7 +100,8 @@ def sample_in_ellipsoid(
 
 
 def reference_central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
-    """The central-cut update in plain numpy, independent of the engine's kernels.
+    """The K-form central-cut update in plain numpy, on the shape matrix K
+    instead of the engine's factor J: an independent cross-check.
 
     It re-validates its inputs, symmetrizes the scaled downdate again and
     certifies PD through the squared pivots of ``np.linalg.cholesky``.
@@ -116,6 +131,100 @@ def reference_central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidSt
     if L is None or not np.all(np.diagonal(L) ** 2 > 0.0):
         raise PDLostError("updated shape matrix is no longer positive definite")
     return EllipsoidState(center, shape, state.log_volume + step_log_ratio(n))
+
+
+def reference_factor_update(center: np.ndarray, J: np.ndarray, log_volume: float, a):
+    """The J-form central cut in plain numpy, independent of the engine's
+    kernels: ``(center, J, log_volume)`` after the cut on normal ``a``."""
+    n = center.size
+    v = J.T @ a
+    vv = float(v @ v)
+    if not QF_FLOOR < vv < math.inf:
+        raise DegenerateCutError(f"||J^T a||^2 = {vv}; cut is degenerate")
+    g = v / math.sqrt(vv)
+    u = J @ g
+    beta = 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
+    factor = n / math.sqrt(n * n - 1.0) * (J - beta * np.outer(u, g))
+    return center + u / (n + 1), factor, log_volume + step_log_ratio(n)
+
+
+def _shape_update(center: np.ndarray, K: np.ndarray, log_volume: float, a):
+    state = reference_central_cut_update(EllipsoidState(center, K, log_volume), Cut(a))
+    return state.center, state.shape, state.log_volume
+
+
+def reference_deepest_violated(sys: LinearSystem, x, tol: float):
+    """Per-row loop over the separation predicate a.x < b - tol*(1+|b|).
+
+    Of the violated rows it keeps the one with the largest depth
+    (b - tol*(1+|b|) - a.x) / ||a||, the first on a tie.  When every violated
+    row's scaled depth underflows to 0, the largest raw depth decides.
+    """
+    if not sys.constraints:
+        return None
+    A = np.array([con.normal for con in sys.constraints])
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", A, A))
+    best = best_raw = None
+    for i, con in enumerate(sys.constraints):
+        product = float(con.normal @ x)
+        floor = con.bound - row_tolerance(tol, con.bound)
+        if not product < floor:
+            continue
+        depth = floor - product
+        scaled = depth * float(inv[i])
+        if best is None or scaled > best_scaled:
+            best, best_scaled = i, scaled
+        if best_raw is None or depth > best_depth:
+            best_raw, best_depth = i, depth
+    if best is None:
+        return None
+    return best if best_scaled > 0.0 else best_raw
+
+
+def reference_solve(sys: LinearSystem, cfg: SolverConfig, factored: bool = True):
+    """The cutting loop written out from its parts: the per-row deepest-violated
+    scan and a plain-numpy update, on the factor J with the audit of
+    ``ln|det J|`` every 2n cuts and before every return,
+    or with ``factored=False`` the K-form update, which breaks down when K
+    fails PD instead.
+
+    Returns the outcome, or the iteration of a breakdown as an int, and the
+    records as (iter, row, center, log-volume, a^T K a, shape) tuples.
+    """
+    n, start = sys.dim, ball(sys.dim, sys.radius)
+    center, log_volume = start.center, start.log_volume
+    M = start.factor if factored else start.shape
+    update = reference_factor_update if factored else _shape_update
+    cap = cfg.max_iterations
+    if cap is None:
+        cap = iteration_cap(n, log_volume, cfg.epsilon)
+    records = []
+    cuts = 0
+    while True:
+        K = M @ M.T if factored else M
+        i = reference_deepest_violated(sys, center, cfg.violation_tolerance)
+        ends = i is None or log_volume < math.log(cfg.epsilon) or cuts >= cap
+        if factored and cuts and (ends or cuts % (2 * n) == 0):
+            with np.errstate(invalid="ignore"):
+                sign, log_det = np.linalg.slogdet(M)
+            drift = abs(log_volume - log_unit_ball_volume(n) - float(log_det))
+            if not (sign != 0.0 and drift <= VOLUME_AUDIT_TOL):
+                return cuts, records
+        if i is None:
+            records.append((cuts, None, center, log_volume, None, K))
+            return Feasible(center, cuts), records
+        if log_volume < math.log(cfg.epsilon):
+            return VolumeExhausted(log_volume, cuts), records
+        if cuts >= cap:
+            return IterationCapReached(cuts), records
+        a = sys.constraints[i].normal
+        aKa = float(a @ (K @ a))
+        try:
+            center, M, log_volume = update(center, M, log_volume, a)
+        except (DegenerateCutError, PDLostError):
+            return cuts, records
+        records.append((cuts, i, center, log_volume, aKa, M @ M.T if factored else M))
+        cuts += 1
 
 
 def feasible_instance(

@@ -327,7 +327,7 @@ def test_radius_whose_square_overflows_exits_2(tmp_path, capsys):
     assert main(["--input", write_problem(tmp_path, doc), "--epsilon", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: radius must be positive with a finite square, got 1e+200\n"
+    assert captured.err == "error: radius must be positive with a nonzero, finite square, got 1e+200\n"
 
 
 def test_rejects_negative_iteration_cap(tmp_path, capsys):
@@ -426,9 +426,9 @@ def test_svg_without_cuts_has_no_ellipses(tmp_path, capsys):
 
 def test_numerical_breakdown_exits_3(tmp_path, capsys):
     # A thin non-empty slab tilted off the axes: repeated opposing cuts
-    # degrade the shape matrix until factorization genuinely fails before
-    # the (tiny) volume threshold is reached, and the oracle finds a
-    # witness, so there is no certificate to report instead.
+    # flatten the ellipsoid until ln|det J| no longer bears out the running
+    # volume, long before the (tiny) volume threshold, and the oracle finds
+    # a witness, so there is no certificate to report instead.
     u = [math.cos(0.3), math.sin(0.3)]
     doc = {
         "dim": 2,
@@ -464,6 +464,28 @@ def test_numerical_breakdown_writes_its_trace(tmp_path, capsys):
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     # One record per cut made; the cut that broke down has none.
     assert [r["iter"] for r in records] == list(range(report["iteration"]))
+
+
+def test_no_answer_comes_from_past_the_float64_wall(tmp_path, capsys):
+    # With no violation tolerance, cutting on 0.3 <= u.x <= 0.3 + 1e-12
+    # past the float64 wall lands a center that passes every row, about 48
+    # from the origin in a ball of radius 2.  The volume audit stops the run
+    # at the wall instead.
+    u = [math.cos(0.3), math.sin(0.3)]
+    doc = {
+        "dim": 2,
+        "radius": 2.0,
+        "constraints": [
+            {"a": u, "b": 0.3, "sense": ">="},
+            {"a": u, "b": 0.3 + 1e-12, "sense": "<="},
+        ],
+    }
+    path = write_problem(tmp_path, doc)
+    argv = ["--input", path, "--output", "json", "--epsilon", "1e-40", "--tol", "0"]
+    assert main(argv) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "numerical_breakdown"
+    assert report["reason"].startswith("volume audit")
 
 
 # An empty slab tilted off the axes: at the default epsilon the cuts break

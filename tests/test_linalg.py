@@ -77,13 +77,15 @@ def test_quadratic_form_reference_values():
 
 
 def test_rank1_downdate_reference_values():
-    out = rank1_downdate(np.eye(2), np.array([1.0, 0.0]), 2.0 / 3.0)
+    e = np.array([1.0, 0.0])
+    out = rank1_downdate(np.eye(2), e, e, 2.0 / 3.0)
     np.testing.assert_allclose(out, np.diag([1.0 / 3.0, 1.0]), rtol=0, atol=1e-15)
 
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_array_equal(rank1_downdate(M, np.array([1.0, 1.0]), 0.0), M)
+    np.testing.assert_array_equal(rank1_downdate(M, np.ones(2), np.ones(2), 0.0), M)
 
-    out = rank1_downdate(np.diag([4.0, 4.0]), np.array([2.0, 0.0]), 0.5)
+    w = np.array([2.0, 0.0])
+    out = rank1_downdate(np.diag([4.0, 4.0]), w, w, 0.5)
     np.testing.assert_array_equal(out, np.diag([2.0, 4.0]))
 
 
@@ -168,7 +170,7 @@ def test_rank1_downdate_output_exactly_symmetric(seed, n):
     rng = np.random.default_rng(seed)
     M = random_pd(rng, n) * float(np.exp(rng.uniform(-20.0, 20.0)))
     w = rng.normal(size=n) * float(np.exp(rng.uniform(-10.0, 10.0)))
-    D = rank1_downdate(M, w, float(rng.uniform(0.0, 2.0)))
+    D = rank1_downdate(M, w, w, float(rng.uniform(0.0, 2.0)))
     assert np.array_equal(D, D.T)
     assert D.tobytes() == symmetrize(D).tobytes()
 
@@ -183,7 +185,7 @@ def test_downdate_matches_determinant_lemma(seed, n, frac):
     q = float(w @ np.linalg.solve(M, w))
     beta = frac / q  # keeps the downdated matrix safely PD
     expected = np.linalg.slogdet(M)[1] + math.log1p(-beta * q)
-    sign, got = np.linalg.slogdet(rank1_downdate(M, w, beta))
+    sign, got = np.linalg.slogdet(rank1_downdate(M, w, w, beta))
     assert sign > 0.0
     assert got == pytest.approx(expected, abs=1e-8)
 
@@ -255,4 +257,16 @@ def test_products_are_the_matmul_forms_bit_for_bit(seed, n, transposed):
         assert mat_vec(M, v).tobytes() == (M @ v).tobytes()
         assert np.float64(quadratic_form(M, v)).tobytes() == (v @ (M @ v)).tobytes()
         expected = M - beta * np.outer(v, v)
-        assert rank1_downdate(M, v, beta).tobytes() == expected.tobytes()
+        assert rank1_downdate(M, v, v, beta).tobytes() == expected.tobytes()
+
+
+@given(seeds, st.integers(min_value=1, max_value=40), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_general_downdate_is_the_outer_form_bit_for_bit(seed, n, transposed):
+    # M - beta * u v^T, the factor update's form, on awkward operands.
+    rng = np.random.default_rng(seed)
+    M, u, v = operand(rng, n, transposed), awkward_floats(rng, n), awkward_floats(rng, n)
+    beta = float(rng.uniform(0.0, 2.0))
+    with np.errstate(all="ignore"):
+        expected = M - beta * np.outer(u, v)
+        assert rank1_downdate(M, u, v, beta).tobytes() == expected.tobytes()

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellipsoid.engine import Cut, DegenerateCutError, PDLostError, ball, step_log_ratio
+from ellipsoid import engine
+from ellipsoid.engine import VOLUME_AUDIT_TOL, ball, log_volume_drift, step_log_ratio
 from ellipsoid import solver
 from ellipsoid.solver import (
     Constraint,
@@ -30,7 +31,8 @@ from instances import (
     awkward_floats,
     feasible_instance,
     infeasible_instance,
-    reference_central_cut_update,
+    reference_deepest_violated,
+    reference_solve,
     unit_direction,
 )
 
@@ -111,6 +113,16 @@ def test_radius_whose_square_is_not_finite_is_rejected(radius):
             ball(2, radius)
 
 
+@pytest.mark.parametrize("radius", [1e-170, 5e-324])
+def test_radius_whose_square_underflows_is_rejected(radius):
+    # R^2 I would be 0, which no factor J can carry.
+    with pytest.raises(ValueError, match="nonzero, finite square"):
+        LinearSystem(2, (), radius)
+    with pytest.raises(ValueError, match="positive, finite square"):
+        ball(2, radius)
+    assert LinearSystem(2, (), 1e-150).radius == 1e-150
+
+
 def test_largest_radii_with_a_finite_square_are_kept():
     radius = 1.3e154
     assert math.isfinite(radius * radius)
@@ -148,34 +160,6 @@ def test_find_violated_tolerance_scales_with_bound():
     assert find_violated(big, np.array([1e6 - 1e-4, 0.0])) is None
     small = LinearSystem(2, (Constraint(np.array([1.0, 0.0]), 0.0),), 2.0)
     assert find_violated(small, np.array([-1e-4, 0.0])) is not None
-
-
-def reference_deepest_violated(sys: LinearSystem, x, tol: float):
-    """Per-row loop over the separation predicate a.x < b - tol*(1+|b|).
-
-    Of the violated rows it keeps the one with the largest depth
-    (b - tol*(1+|b|) - a.x) / ||a||, the first on a tie.  When every violated
-    row's scaled depth underflows to 0, the largest raw depth decides.
-    """
-    if not sys.constraints:
-        return None
-    A = np.array([con.normal for con in sys.constraints])
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", A, A))
-    best = best_raw = None
-    for i, con in enumerate(sys.constraints):
-        product = float(con.normal @ x)
-        floor = con.bound - row_tolerance(tol, con.bound)
-        if not product < floor:
-            continue
-        depth = floor - product
-        scaled = depth * float(inv[i])
-        if best is None or scaled > best_scaled:
-            best, best_scaled = i, scaled
-        if best_raw is None or depth > best_depth:
-            best_raw, best_depth = i, depth
-    if best is None:
-        return None
-    return best if best_scaled > 0.0 else best_raw
 
 
 @given(
@@ -305,38 +289,6 @@ def test_find_violated_keeps_a_row_whose_norm_overflows():
     assert not certify(Feasible(origin, 0), sys, violation_tolerance=0.0).passed
 
 
-def reference_solve(sys: LinearSystem, cfg: SolverConfig):
-    """The cutting loop written out from its parts: the per-row deepest-violated
-    scan and the plain-numpy update.
-
-    Returns the outcome, or the iteration of a breakdown as an int, and the
-    records as (iter, row, center, log-volume, a^T K a, shape) tuples.
-    """
-    state = ball(sys.dim, sys.radius)
-    cap = cfg.max_iterations
-    if cap is None:
-        cap = iteration_cap(sys.dim, state.log_volume, cfg.epsilon)
-    records = []
-    cuts = 0
-    while True:
-        i = reference_deepest_violated(sys, state.center, cfg.violation_tolerance)
-        if i is None:
-            records.append((cuts, None, state.center, state.log_volume, None, state.shape))
-            return Feasible(state.center, cuts), records
-        if state.log_volume < math.log(cfg.epsilon):
-            return VolumeExhausted(state.log_volume, cuts), records
-        if cuts >= cap:
-            return IterationCapReached(cuts), records
-        a = sys.constraints[i].normal
-        aKa = float(a @ (state.shape @ a))
-        try:
-            state = reference_central_cut_update(state, Cut(a))
-        except (DegenerateCutError, PDLostError):
-            return cuts, records
-        records.append((cuts, i, state.center, state.log_volume, aKa, state.shape))
-        cuts += 1
-
-
 @given(seeds, st.integers(min_value=2, max_value=6), st.sampled_from(
     ["feasible", "empty", "tilted", "gaussian"]))
 @settings(max_examples=60, deadline=None)
@@ -434,8 +386,8 @@ def test_solve_respects_iteration_cap():
 
 def test_solve_raises_numerical_breakdown_on_oblique_collapse():
     # An empty slab at an oblique angle flattens the ellipsoid until float
-    # cancellation destroys positive definiteness; epsilon is set far below
-    # what is reachable so the breakdown fires first.
+    # cancellation moves ln|det J| off the running volume; epsilon is set far
+    # below what is reachable so the volume audit fires first.
     c, s = math.cos(0.3), math.sin(0.3)
     sys = LinearSystem(
         2,
@@ -449,6 +401,109 @@ def test_solve_raises_numerical_breakdown_on_oblique_collapse():
         solve(sys, SolverConfig(epsilon=1e-30))
     assert info.value.iteration > 0
     assert "numerical breakdown at iteration" in str(info.value)
+
+
+def test_volume_audit_fires_on_drift():
+    # The same slab at 1e-8 of the initial volume: the volume would run out
+    # at cut 71, but ln|det J| drifts past the tolerance first, and an audit
+    # (every 2n = 4 cuts) stops the run.
+    c, s = math.cos(0.3), math.sin(0.3)
+    rows = (Constraint(np.array([c, s]), 1.0), Constraint(np.array([-c, -s]), 0.0))
+    sys = LinearSystem(2, rows, 2.0)
+    eps = 1e-8 * math.exp(ball(2, 2.0).log_volume)
+    needed = math.ceil(math.log(1e-8) / step_log_ratio(2))
+    with pytest.raises(NumericalBreakdown) as info:
+        solve(sys, SolverConfig(epsilon=eps))
+    assert info.value.iteration < needed and info.value.iteration % 4 == 0
+    drift = float(info.value.reason.split(" nats")[0].rsplit(" ", 1)[1])
+    assert drift > VOLUME_AUDIT_TOL
+    assert f"tolerance {VOLUME_AUDIT_TOL:g}" in info.value.reason
+    # The audit reads the state after the last cut, which the trace's last
+    # record holds.
+    records = []
+    with pytest.raises(NumericalBreakdown):
+        solve(sys, SolverConfig(epsilon=eps, trace=records.append))
+    assert len(records) == info.value.iteration
+
+
+def test_volume_audit_passes_the_volume_claim_of_a_clean_run():
+    records = []
+    out = solve(disjoint_system(), SolverConfig(epsilon=1e-6, trace=records.append))
+    assert isinstance(out, VolumeExhausted)
+    final = records[-1]
+    assert final.log_volume == out.final_log_volume
+    sign, log_det = np.linalg.slogdet(final.shape)
+    assert sign > 0.0
+    drift = abs(out.final_log_volume - engine.log_unit_ball_volume(2) - 0.5 * log_det)
+    assert drift <= VOLUME_AUDIT_TOL
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("empty", [False, True])
+def test_every_answer_is_audited(monkeypatch, empty, cap):
+    # Audits run every 2n cuts and before each return after a cut, so a
+    # drift there turns any answer into a breakdown at the same cut.
+    if empty:
+        sys, eps = disjoint_system(), 1e-6
+    else:
+        sys, eps = feasible_instance(np.random.default_rng(3), 3, 12)[0], 1e-3
+    cfg = SolverConfig(epsilon=eps, max_iterations=cap)
+    out = solve(sys, cfg)
+    assert out.iterations > 0 and (cap is None or out.iterations == cap)
+    audited = []
+    drift = solver.log_volume_drift
+    monkeypatch.setattr(solver, "log_volume_drift",
+                        lambda state: audited.append(drift(state)) or audited[-1])
+    again = solve(sys, cfg)
+    assert type(again) is type(out) and again.iterations == out.iterations
+    n = sys.dim
+    assert len(audited) == out.iterations // (2 * n) + bool(out.iterations % (2 * n))
+    monkeypatch.setattr(solver, "log_volume_drift", lambda state: 2 * VOLUME_AUDIT_TOL)
+    with pytest.raises(NumericalBreakdown) as info:
+        solve(sys, cfg)
+    assert info.value.iteration == min(out.iterations, 2 * n)
+
+
+def test_volume_audit_reports_a_singular_factor(monkeypatch):
+    monkeypatch.setattr(solver, "log_volume_drift", lambda state: math.inf)
+    with pytest.raises(NumericalBreakdown, match="det J is 0 or not finite"):
+        solve(disjoint_system(), SolverConfig(epsilon=1e-6))
+
+
+def test_a_solve_factors_at_most_one_matrix(monkeypatch):
+    # Only the bounding ball is factored; a cut never is.
+    sys = infeasible_instance(np.random.default_rng(7), 30, 30)
+    eps = 1e-3 * math.exp(ball(30, sys.radius).log_volume)
+    calls = []
+    cholesky = engine.cholesky
+    monkeypatch.setattr(engine, "cholesky", lambda M: calls.append(M) or cholesky(M))
+    out = solve(sys, SolverConfig(epsilon=eps))
+    assert isinstance(out, VolumeExhausted) and out.iterations >= 400
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("kind", ["feasible", "empty", "gaussian"])
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_makes_the_cuts_of_the_shape_form_loop(seed, kind):
+    # The K-form loop is the independent reference: the same outcome type
+    # after the same number of cuts, wherever it does not break down.
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 5
+    eps = 1e-3 * math.exp(ball(n, 2.0).log_volume)
+    if kind == "feasible":
+        sys, _ = feasible_instance(rng, n, int(rng.integers(1, 30)))
+    elif kind == "empty":
+        sys = infeasible_instance(rng, n, int(rng.integers(2, 30)))
+    else:
+        m = int(rng.integers(0, 30))
+        A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+        b = A @ rng.normal(scale=0.5, size=n) - rng.uniform(0.0, 1.0, size=m)
+        sys = LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), 2.0)
+    cfg = SolverConfig(epsilon=eps)
+    expected, _ = reference_solve(sys, cfg, factored=False)
+    assert not isinstance(expected, int)
+    out = solve(sys, cfg)
+    assert type(out) is type(expected) and out.iterations == expected.iterations
 
 
 def test_trace_records_follow_the_cut_sequence():
