@@ -12,7 +12,8 @@ Layout (import from the submodules; the package root exports nothing else):
 
 - :mod:`ellipsoid.engine`   ellipsoid state as a factor J, the central-cut
   update, the volume audit and the kernels (products, rank-one update)
-- :mod:`ellipsoid.solver`   the cutting loop, outcomes, certification
+- :mod:`ellipsoid.solver`   the system and its arrays, the cutting loop, outcomes,
+  certification
 - :mod:`ellipsoid.oracle`   exact ground truth for small instances
 - :mod:`ellipsoid.problems` problem-file parsing / serialization
 - :mod:`ellipsoid.svgplot`  2-D SVG rendering of the ellipse sequence

@@ -31,7 +31,6 @@ from .oracle import (
 from .problems import ProblemFormatError, parse_problem, to_linear_system
 from .solver import (
     DEFAULT_VIOLATION_TOL,
-    Constraint,
     Feasible,
     IterationCapReached,
     LinearSystem,
@@ -39,6 +38,7 @@ from .solver import (
     SolverConfig,
     TraceRecord,
     VolumeExhausted,
+    as_arrays,
     certify,
     solve,
 )
@@ -78,11 +78,11 @@ def _in_oracle_range(sys: LinearSystem) -> bool:
 def _witness_margin(sys: LinearSystem, x: np.ndarray) -> float:
     """min(min_i (a_i.x - b_i) / ||a_i||, R - ||x||): the radius of the
     largest ball about ``x`` inside the region and the bounding ball."""
-    margin = sys.radius - math.sqrt(x.dot(x))
-    for con in sys.constraints:
-        a = con.normal
-        margin = min(margin, (a.dot(x) - con.bound) / math.hypot(*a.tolist()))
-    return margin
+    A, b = as_arrays(sys)
+    # ||a_i|| by hypot, which overflows only where the norm does; the
+    # initial 0 makes a one-entry row's norm |a|.
+    margins = (A.dot(x) - b) / np.hypot.reduce(A, axis=1, initial=0.0)
+    return min(sys.radius - math.sqrt(x.dot(x)), float(margins.min(initial=math.inf)))
 
 
 def _deep_witness(sys: LinearSystem, epsilon: float) -> np.ndarray | None:
@@ -96,12 +96,14 @@ def _deep_witness(sys: LinearSystem, epsilon: float) -> np.ndarray | None:
     r = (1.0 + 1.0 / n) * math.exp((math.log(epsilon) - log_unit_ball_volume(n)) / n)
     if not r < sys.radius:
         return None
+    A, b = as_arrays(sys)
+    with np.errstate(over="ignore"):
+        shifted = b + r * np.hypot.reduce(A, axis=1, initial=0.0)
     try:
-        rows = tuple(Constraint(con.normal, con.bound + r * math.hypot(*con.normal.tolist()))
-                     for con in sys.constraints)
+        region = LinearSystem.from_arrays(A, shifted, sys.radius - r)
     except ValueError:  # a shifted bound beyond the float range
         return None
-    verdict = vertex_enumeration_check(LinearSystem(n, rows, sys.radius - r))
+    verdict = vertex_enumeration_check(region)
     return verdict.point if isinstance(verdict, FeasibleWitness) else None
 
 
@@ -213,8 +215,10 @@ def _json_float(value: float) -> str:
 
 
 def _trace_line(rec: TraceRecord) -> str:
-    """The line ``json.dumps(rec.as_dict())`` writes, keys and separators
-    included, plus a newline, except that a non-finite float is null."""
+    """One trace line, ``{"iter": I, "violated_index": K, "center": [C1, ...],
+    "log_volume": V, "cut_quadratic_form": Q}`` and a newline, as json.dumps
+    writes that dict (floats by float.__repr__), but with null for a
+    non-finite float; K and Q are null on the terminal feasible record."""
     # A list's repr joins float.__repr__ of each entry with ", ".
     center = repr(rec.center)[1:-1]
     # Finite reprs hold no "n"; "nan" and "inf" do.

@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .solver import LinearSystem, _stacked_normals
+from .solver import LinearSystem, as_arrays, row_tolerance
 
 # Feasibility slack for accepting a witness, scaled per row by 1 + |b|.
 WITNESS_TOL = 1e-12
@@ -67,7 +67,7 @@ OracleVerdict = Union[FeasibleWitness, Infeasible, Inconclusive]
 def _satisfies(A: np.ndarray, b: np.ndarray, radius: float, x: np.ndarray) -> bool:
     # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)).
     return bool(math.sqrt(x.dot(x)) <= radius * (1.0 + WITNESS_TOL)
-                and (A.dot(x) - b >= -WITNESS_TOL * (1.0 + np.abs(b))).all())
+                and (A.dot(x) - b >= -row_tolerance(WITNESS_TOL, b)).all())
 
 
 def _integers(values: list[float]) -> tuple[list[int], int]:
@@ -101,11 +101,6 @@ def _check_limits(sys: LinearSystem, max_dim: int) -> None:
     if len(sys.constraints) > MAX_CONSTRAINTS:
         raise ValueError(f"oracle supports at most {MAX_CONSTRAINTS} constraints, "
                          f"got {len(sys.constraints)}")
-
-
-def _arrays(sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    m = len(sys.constraints)
-    return _stacked_normals(sys), np.fromiter((con.bound for con in sys.constraints), float, m)
 
 
 def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -167,7 +162,7 @@ def vertex_enumeration_check(sys: LinearSystem) -> OracleVerdict:
     ``Infeasible`` with a certificate ``y`` that passes ``_certifies``,
     else ``Inconclusive``."""
     _check_limits(sys, MAX_DIM)
-    A, b = _arrays(sys)
+    A, b = as_arrays(sys)
     m, n = A.shape
     # What np.linalg.norm(A, axis=1) computes, without its dispatch.
     norms = np.sqrt(np.add.reduce(A * A, axis=1))
@@ -195,7 +190,7 @@ def grid_feasibility_scan(sys: LinearSystem, steps_per_axis: int) -> OracleVerdi
     _check_limits(sys, MAX_GRID_DIM)
     if steps_per_axis < 2:
         raise ValueError(f"steps_per_axis must be >= 2, got {steps_per_axis}")
-    A, b = _arrays(sys)
+    A, b = as_arrays(sys)
     axis = np.linspace(-sys.radius, sys.radius, steps_per_axis)
     # One x_1-slice at a time keeps memory flat; within a slice everything
     # is vectorized.
@@ -204,7 +199,7 @@ def grid_feasibility_scan(sys: LinearSystem, steps_per_axis: int) -> OracleVerdi
     for x0 in axis:
         pts = np.column_stack([np.full(len(tail), x0), tail])
         ok = np.linalg.norm(pts, axis=1) <= sys.radius * (1.0 + WITNESS_TOL)
-        ok &= np.all(pts @ A.T - b >= -WITNESS_TOL * (1.0 + np.abs(b)), axis=1)
+        ok &= np.all(pts @ A.T - b >= -row_tolerance(WITNESS_TOL, b), axis=1)
         if ok.any():
             return FeasibleWitness(pts[np.argmax(ok)])
     return Inconclusive("no grid witness")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import LinearSystem, _frozen_constraint
+from .solver import LinearSystem
 
 _TOP_KEYS = {"dim", "radius", "constraints"}
 _ROW_KEYS = {"a", "b", "sense"}
@@ -139,10 +139,11 @@ def serialize_problem(problem: ProblemFile) -> str:
 def to_linear_system(problem: ProblemFile) -> LinearSystem:
     """Normalize rows to >= form and build the solver's system.
 
-    The rows go into one m x n array, "<=" rows negated in bulk, and each
-    constraint holds a read-only row of it.  Normals, bounds and error
-    messages are those of :meth:`Constraint.from_row` on each row:
-    multiplying by -1.0 negates exactly, 0.0 included.
+    The rows go into one m x n array, "<=" rows negated in bulk, which
+    :meth:`LinearSystem.from_arrays` checks and turns into the system's
+    rows.  Normals, bounds and error messages are those of
+    :meth:`Constraint.from_row` on each row: multiplying by -1.0 negates
+    exactly, 0.0 included.
     """
     rows = problem.constraints
     m, dim = len(rows), problem.dim
@@ -152,17 +153,7 @@ def to_linear_system(problem: ProblemFile) -> LinearSystem:
         raise ValueError(f'sense must be ">=" or "<=", got {exc.args[0]!r}') from None
     A = np.array([row.a for row in rows], dtype=float).reshape(m, dim) * sign[:, None]
     b = np.array([row.b for row in rows], dtype=float) * sign
-    if not np.isfinite(A).all():
-        raise ValueError("vector entries must be finite")
-    if not np.isfinite(b).all():
-        raise ValueError("constraint bound must be finite")
-    # a.a > 0 as Constraint decides it, for every row at once; einsum raises
-    # no overflow warning for a row whose a.a overflows.
-    if not (np.einsum("ij,ij->i", A, A) > 0.0).all():
-        raise ValueError("constraint normal must be nonzero")
-    A.flags.writeable = False
-    cons = tuple(map(_frozen_constraint, A, b.tolist()))
-    return LinearSystem(dim, cons, problem.radius)
+    return LinearSystem.from_arrays(A, b, problem.radius)
 
 
 __all__ = [

@@ -73,15 +73,6 @@ class Constraint:
         raise ValueError(f'sense must be ">=" or "<=", got {sense!r}')
 
 
-def _frozen_constraint(normal: np.ndarray, bound: float) -> Constraint:
-    """Wrap a read-only 1-D float normal with finite entries and a.a > 0,
-    and a finite float bound, without the constructor's checks and copy."""
-    con = object.__new__(Constraint)
-    object.__setattr__(con, "normal", normal)
-    object.__setattr__(con, "bound", bound)
-    return con
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """m constraints in dimension n plus the bounding-ball radius R.
@@ -110,6 +101,29 @@ class LinearSystem:
                     f"constraint {i} has length {con.normal.size}, expected {self.dim}"
                 )
 
+    @classmethod
+    def from_arrays(cls, A: np.ndarray, b: np.ndarray, radius: float) -> "LinearSystem":
+        """The system ``A x >= b`` from a fresh m x n float array ``A`` (made
+        read-only; each row becomes a normal) and float bounds ``b``, checked
+        as :class:`Constraint` checks each row, with the same messages."""
+        if not np.isfinite(A).all():
+            raise ValueError("vector entries must be finite")
+        if not np.isfinite(b).all():
+            raise ValueError("constraint bound must be finite")
+        # a.a > 0 as Constraint decides it; einsum raises no overflow
+        # warning for a row whose a.a overflows.
+        if not (np.einsum("ij,ij->i", A, A) > 0.0).all():
+            raise ValueError("constraint normal must be nonzero")
+        A.flags.writeable = False
+
+        def row(normal, bound):
+            con = object.__new__(Constraint)
+            object.__setattr__(con, "normal", normal)
+            object.__setattr__(con, "bound", bound)
+            return con
+
+        return cls(A.shape[1], tuple(map(row, A, b.tolist())), radius)
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -119,7 +133,7 @@ class TraceRecord:
     log-volume, and a^T K a of the cut.  The terminal feasible record has
     ``violated_index`` and ``cut_quadratic_form`` set to None and holds the
     final center and shape.  ``shape`` is the state's own read-only J J^T,
-    formed once per record; :meth:`as_dict` leaves it out.
+    formed once per record; the trace file leaves it out.
     """
 
     iter: int
@@ -129,17 +143,8 @@ class TraceRecord:
     cut_quadratic_form: Optional[float]
     shape: np.ndarray = field(repr=False, compare=False)
 
-    def as_dict(self) -> dict:
-        return {
-            "iter": self.iter,
-            "violated_index": self.violated_index,
-            "center": self.center,
-            "log_volume": self.log_volume,
-            "cut_quadratic_form": self.cut_quadratic_form,
-        }
 
-
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     epsilon: float
     max_iterations: Optional[int] = None
@@ -175,45 +180,46 @@ class IterationCapReached:
 SolveOutcome = Union[Feasible, VolumeExhausted, IterationCapReached]
 
 
-def row_tolerance(tol: float, bound: float) -> float:
-    """Per-row slack tolerance, scaled with the bound's magnitude."""
+def row_tolerance(tol: float, bound):
+    """Per-row slack tolerance, scaled with the bound's magnitude: row i holds
+    at x when a_i.x >= b_i - row_tolerance(tol, b_i), for one b_i or an array."""
     return tol * (1.0 + abs(bound))
 
 
-def _stacked_normals(sys: LinearSystem) -> np.ndarray:
-    """The rows' normals as one read-only m x n array.
+def as_arrays(sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The system as a read-only m x n array ``A`` and its bounds ``b``.
 
-    Each normal is a contiguous float64 vector (a copy, or a row of the
-    array a problem file was read into), so joining their bytes gives the
+    This is the one place where rows become arrays.  Each normal is a
+    contiguous float64 vector (a copy, or a row of the array given to
+    :meth:`LinearSystem.from_arrays`), so joining their bytes gives the
     rows in order.
     """
-    normals = b"".join([con.normal for con in sys.constraints])
-    return np.frombuffer(normals).reshape(len(sys.constraints), sys.dim)
+    cons = sys.constraints
+    A = np.frombuffer(b"".join([con.normal for con in cons])).reshape(len(cons), sys.dim)
+    return A, np.array([con.bound for con in cons], dtype=float)
 
 
 class _PackedRows:
     """The rows of a system as arrays, for one solve.
 
-    ``A`` is m x n and ``floor`` holds ``b - tol*(1+|b|)`` per row, so a
-    point x violates row i exactly when ``(A @ x)[i] < floor[i]``.
-    ``inv_norm`` holds 1/||a_i||, which turns a row's violation into the
-    distance from x to its hyperplane; ``norms=False`` leaves it None for a
-    caller that only tests the rows.  The arrays are built per call and never
-    kept on the :class:`LinearSystem`, which stays a tuple of rows.
-    ``constraints`` and ``dim`` are those of the packed system.
+    ``A`` is the m x n array of :func:`as_arrays` and ``floor`` holds
+    ``b - row_tolerance(tol, b)``, so a point x violates row i exactly when
+    ``(A @ x)[i] < floor[i]``.  ``inv_norm`` holds 1/||a_i||, which turns a
+    row's violation into the distance from x to its hyperplane.  The arrays
+    are built per call and never kept on the :class:`LinearSystem`, which
+    stays a tuple of rows.  ``constraints`` and ``dim`` are those of the
+    packed system.
     """
 
     __slots__ = ("constraints", "dim", "A", "floor", "inv_norm")
 
-    def __init__(self, sys: LinearSystem, tol: float, norms: bool = True):
-        cons = self.constraints = sys.constraints
-        self.dim = sys.dim
-        A = self.A = _stacked_normals(sys)
-        b = np.array([con.bound for con in cons], dtype=float)
-        self.floor = b - tol * (1.0 + np.abs(b))
+    def __init__(self, sys: LinearSystem, tol: float):
+        self.constraints, self.dim = sys.constraints, sys.dim
+        A, b = as_arrays(sys)
+        self.A, self.floor = A, b - row_tolerance(tol, b)
         # Constraint checks a.a > 0, so each entry is finite; it is 0 only
         # where a.a overflows.
-        self.inv_norm = 1.0 / np.sqrt(np.einsum("ij,ij->i", A, A)) if norms else None
+        self.inv_norm = 1.0 / np.sqrt(np.einsum("ij,ij->i", A, A))
 
 
 def find_violated(
@@ -285,10 +291,11 @@ def _solve_interval(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
     # 1-D fallback: a row passes at x when a*x >= b - tol*(1+|b|), the
     # predicate find_violated separates on, so each row is a half-line of
     # floats; intersect them within [-R, R].
+    A, b = as_arrays(sys)
+    floors = b - row_tolerance(cfg.violation_tolerance, b)
     lo, hi = -sys.radius, sys.radius
-    for con in sys.constraints:
-        a = float(con.normal[0])
-        end = _interval_end(a, con.bound - row_tolerance(cfg.violation_tolerance, con.bound))
+    for a, floor in zip(A[:, 0].tolist(), floors.tolist()):
+        end = _interval_end(a, floor)
         if a > 0.0:
             lo = max(lo, end)
         else:
@@ -403,19 +410,18 @@ def certify(
         # Margin above the row's floor b - tol*(1+|b|): the predicate and the
         # product that separation uses, so every row must clear its own
         # tolerance.  A NaN margin fails.
-        rows = _PackedRows(sys, violation_tolerance, norms=False)
+        A, b = as_arrays(sys)
         # ndarray.dot is A @ x without the gufunc dispatch, except that a
         # 1 x 1 product may leave a zero negative (see engine), which the
         # reported min_slack would show.
-        A = rows.A
         products = A.dot(outcome.point) if A.size > 1 else A @ outcome.point
-        margins = products - rows.floor
+        margins = products - (b - row_tolerance(violation_tolerance, b))
         worst = int(np.argmin(margins))
         return CertReport(
             "feasible",
             passed=bool(margins[worst] >= 0.0),
             iterations=outcome.iterations,
-            min_slack=float(products[worst]) - sys.constraints[worst].bound,
+            min_slack=float(products[worst] - b[worst]),
             worst_index=worst,
         )
     if isinstance(outcome, VolumeExhausted):
@@ -449,6 +455,7 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "VolumeExhausted",
+    "as_arrays",
     "certify",
     "find_violated",
     "iteration_cap",

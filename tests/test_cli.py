@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import ellipsoid.cli
 import ellipsoid.oracle
 from ellipsoid.cli import DEFAULT_EPSILON_FACTOR, _trace_line, main
-from ellipsoid.engine import ball, step_log_ratio
+from ellipsoid.engine import ball, log_unit_ball_volume, step_log_ratio
+from ellipsoid.oracle import FeasibleWitness, vertex_enumeration_check
 from ellipsoid.problems import parse_problem, to_linear_system
-from ellipsoid.solver import TraceRecord, VolumeExhausted
+from ellipsoid.solver import Constraint, LinearSystem, TraceRecord, VolumeExhausted
 from instances import feasible_instance, infeasible_instance
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -321,6 +322,62 @@ def test_exhausted_volume_on_a_roomy_region(tmp_path, capsys, monkeypatch, epsil
     assert (r > 0.0 and math.pi * r * r >= epsilon) == (agreement == "disagree")
 
 
+def reference_witness_margin(sys: LinearSystem, x: np.ndarray) -> float:
+    """``cli._witness_margin`` one row at a time, norms by math.hypot."""
+    margin = sys.radius - math.sqrt(x.dot(x))
+    for con in sys.constraints:
+        a = con.normal
+        margin = min(margin, (a.dot(x) - con.bound) / math.hypot(*a.tolist()))
+    return margin
+
+
+def reference_deep_witness(sys: LinearSystem, epsilon: float):
+    """``cli._deep_witness`` with each shifted row rebuilt as a Constraint."""
+    n = sys.dim
+    r = (1.0 + 1.0 / n) * math.exp((math.log(epsilon) - log_unit_ball_volume(n)) / n)
+    if not r < sys.radius:
+        return None
+    try:
+        rows = tuple(Constraint(con.normal, con.bound + r * math.hypot(*con.normal.tolist()))
+                     for con in sys.constraints)
+    except ValueError:
+        return None
+    verdict = vertex_enumeration_check(LinearSystem(n, rows, sys.radius - r))
+    return verdict.point if isinstance(verdict, FeasibleWitness) else None
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_witness_paths_match_their_per_row_references(seed, n, m):
+    # Rows scaled by 10^-3 to 10^3 around a point p of the ball, each with a
+    # slack of -0.2 R to R, so the region is roomy, thin or empty; the
+    # volume's ball radius spans 1e-3 R to 2 R.
+    rng = np.random.default_rng(seed)
+    radius = float(rng.uniform(0.5, 5.0))
+    A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+    norms = np.linalg.norm(A, axis=1)
+    p = rng.normal(size=n)
+    p *= radius * rng.uniform() / np.linalg.norm(p)
+    b = A @ p - rng.uniform(-0.2, 1.0, size=m) * radius * norms
+    sys = LinearSystem(n, tuple(Constraint(a, float(v)) for a, v in zip(A, b)), radius)
+    r0 = radius * 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+    epsilon = math.exp(log_unit_ball_volume(n) + n * math.log(r0))
+
+    x = ellipsoid.cli._deep_witness(sys, epsilon)
+    assert (x is None) == (reference_deep_witness(sys, epsilon) is None)
+    if x is None:
+        x = p
+    # A row's margin is a dot product (n u each form, u = eps / 2), a
+    # subtraction and a division (u each), over a norm by hypot (about
+    # n u for numpy's reduction, u for math.hypot): the forms differ by at
+    # most (3n + 5) u times (|a|.|x| + |b|) / ||a||, and R - ||x|| is the
+    # same code in both.  The bound allows more than twice that.
+    scale = max(radius, float(np.linalg.norm(x)),
+                float(((np.abs(A) @ np.abs(x) + np.abs(b)) / norms).max()))
+    got, want = ellipsoid.cli._witness_margin(sys, x), reference_witness_margin(sys, x)
+    assert abs(got - want) <= 4.0 * (n + 2) * np.finfo(float).eps * scale
+
+
 def test_radius_whose_square_overflows_exits_2(tmp_path, capsys):
     doc = {"dim": 2, "radius": 1e200,
            "constraints": [{"a": [1.0, 0.0], "b": 0.5, "sense": ">="}]}
@@ -372,6 +429,17 @@ def test_trace_writes_non_finite_floats_as_null():
                                  "log_volume": None, "cut_quadratic_form": None}
 
 
+def record_dict(rec: TraceRecord) -> dict:
+    """The trace line's fields, in order, as json.dumps is to write them."""
+    return {
+        "iter": rec.iter,
+        "violated_index": rec.violated_index,
+        "center": rec.center,
+        "log_volume": rec.log_volume,
+        "cut_quadratic_form": rec.cut_quadratic_form,
+    }
+
+
 # Finite floats with the awkward cases drawn often: signed zeros,
 # subnormals and the ends of the range.
 finite_floats = st.one_of(
@@ -391,7 +459,7 @@ finite_floats = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_trace_line_is_json_dumps_of_the_record(it, index, center, log_volume, qf):
     rec = TraceRecord(it, index, center, log_volume, qf, np.eye(len(center)))
-    assert _trace_line(rec) == json.dumps(rec.as_dict()) + "\n"
+    assert _trace_line(rec) == json.dumps(record_dict(rec)) + "\n"
 
 
 def test_svg_written_with_one_ellipse_per_state(tmp_path, capsys):

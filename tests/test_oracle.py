@@ -23,7 +23,7 @@ from ellipsoid.oracle import (
     grid_feasibility_scan,
     vertex_enumeration_check,
 )
-from ellipsoid.solver import Constraint, Feasible, LinearSystem, certify
+from ellipsoid.solver import Constraint, Feasible, LinearSystem, as_arrays, certify
 from instances import feasible_instance, infeasible_instance
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -522,7 +522,7 @@ def test_ldp_oracle_matches_the_full_enumeration(seed, n, m, all_far):
         assert_valid_witness(sys, verdict)
     else:
         assert isinstance(verdict, Infeasible)
-        assert exact_certificate(*ellipsoid.oracle._arrays(sys), sys.radius, verdict.y)
+        assert exact_certificate(*as_arrays(sys), sys.radius, verdict.y)
     same = type(verdict) is type(reference) and (
         isinstance(verdict, Infeasible) or verdict.point.tobytes() == reference.point.tobytes())
     if same:
@@ -557,7 +557,7 @@ def test_padding_rows_never_reach_the_nnls(monkeypatch):
     np.testing.assert_array_equal(seen[0], [[1.0, -1.0], [0, 0], [0, 0], [0, 0], [1.0, 0.0]])
     # The certificate puts no weight on the padding.
     assert np.all(verdict.y[2:] == 0.0)
-    assert exact_certificate(*ellipsoid.oracle._arrays(sys), sys.radius, verdict.y)
+    assert exact_certificate(*as_arrays(sys), sys.radius, verdict.y)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -602,4 +602,4 @@ def test_gap_with_a_singular_active_stack_keeps_its_certificate(copies, monkeypa
     expected = np.zeros(2 * copies)
     expected[:2] = float.fromhex("0x1.0000000000003p+1"), float.fromhex("0x1.0000000000005p+1")
     assert verdict.y.tobytes() == expected.tobytes()
-    assert exact_certificate(*ellipsoid.oracle._arrays(sys), sys.radius, verdict.y)
+    assert exact_certificate(*as_arrays(sys), sys.radius, verdict.y)

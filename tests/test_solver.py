@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -142,6 +143,22 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=1.0, max_iterations=-1)
     assert SolverConfig(epsilon=1.0, max_iterations=0).max_iterations == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("violation_tolerance", math.nan), ("epsilon", -1.0), ("max_iterations", -1),
+    ("trace", print),
+])
+def test_solver_config_is_frozen(field, value):
+    # A field set after construction would skip the checks above: a NaN
+    # tolerance passes every row, so solve would answer Feasible([0, 0])
+    # for x1 >= 0.5.
+    cfg = SolverConfig(epsilon=1e-3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    sys = LinearSystem(2, (Constraint(np.array([1.0, 0.0]), 0.5),), 1.0)
+    out = solve(sys, cfg)
+    assert isinstance(out, Feasible) and out.point[0] >= 0.5 - 1e-9
 
 
 def test_find_violated_first_match_rule():
@@ -767,7 +784,7 @@ def test_packed_products_are_the_matmul_form_bit_for_bit(seed, n, m, tol):
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         sys = awkward_system(rng, n, m)
         x = awkward_floats(rng, n)
-        A = solver._stacked_normals(sys)
+        A, b = solver.as_arrays(sys)
         if A.size > 1:
             assert A.dot(x).tobytes() == (A @ x).tobytes()
         else:
@@ -775,8 +792,7 @@ def test_packed_products_are_the_matmul_form_bit_for_bit(seed, n, m, tol):
 
         hit = find_violated(sys, x, tol)
         report = certify(Feasible(x, 0), sys, violation_tolerance=tol)
-        stacked = solver._stacked_normals
-        mp.setattr(solver, "_stacked_normals", lambda s: stacked(s).view(MatmulDot))
+        mp.setattr(solver, "as_arrays", lambda s: (A.view(MatmulDot), b))
         assert find_violated(sys, x, tol) == hit
         expected = certify(Feasible(x, 0), sys, violation_tolerance=tol)
     assert report.worst_index == expected.worst_index
