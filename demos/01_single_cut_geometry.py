@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ellipsoid.engine import Cut, ball, central_cut_update, step_log_ratio
+from ellipsoid.engine import ball, step_log_ratio
 
 # The unit disc: center at the origin, shape matrix I, log-volume ln(pi).
 disc = ball(2, 1.0)
@@ -19,10 +19,12 @@ print("initial center:", disc.center)
 print("initial shape:\n", disc.shape)
 print(f"initial log-volume: {disc.log_volume:.6f} (ln pi = {math.log(math.pi):.6f})")
 
-# Cut along the first coordinate axis.  The kept half is x1 >= 0; the
-# covering ellipse slides its center to (1/3, 0), shrinks to semi-axis 2/3
-# along the cut normal, and stretches to 2/sqrt(3) across it.
-after = central_cut_update(disc, Cut(np.array([1.0, 0.0])))
+# Cut along the first coordinate axis.  The normal is a plain array, and
+# ``disc.cut`` runs the solver's own update, engine.central_cut_update, on
+# the disc's center and factor.  The kept half is x1 >= 0; the covering
+# ellipse slides its center to (1/3, 0), shrinks to semi-axis 2/3 along the
+# cut normal, and stretches to 2/sqrt(3) across it.
+after = disc.cut(np.array([1.0, 0.0]))
 print("\nafter one cut along e1")
 print("center:", after.center, "(expected [1/3, 0])")
 print("shape:\n", after.shape)
@@ -36,6 +38,6 @@ print(f"step_log_ratio(2): {step_log_ratio(2):.6f}")
 print(f"area ratio: {math.exp(drop):.6f} (about 0.7698: each cut keeps ~77%)")
 
 # Only the direction of the cut matters, not its length.
-scaled = central_cut_update(disc, Cut(np.array([1e6, 0.0])))
+scaled = disc.cut(np.array([1e6, 0.0]))
 print("\nsame cut scaled by 1e6, center:", scaled.center)
 print("max center difference:", float(np.max(np.abs(scaled.center - after.center))))

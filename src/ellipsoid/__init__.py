@@ -10,8 +10,9 @@ shrinking the volume by a fixed dimension-dependent factor.
 
 Layout (import from the submodules; the package root exports nothing else):
 
-- :mod:`ellipsoid.engine`   ellipsoid state as a factor J, the central-cut
-  update, the volume audit and the kernels (products, rank-one update)
+- :mod:`ellipsoid.engine`   the central-cut update on a center and a factor J,
+  the ellipsoid state, the volume audit and the kernels (products, rank-one
+  update)
 - :mod:`ellipsoid.solver`   the system and its arrays, the cutting loop, outcomes,
   certification
 - :mod:`ellipsoid.oracle`   exact ground truth for small instances

@@ -15,8 +15,8 @@ and ``u = J g``,
 
 and ``J' J'^T = n^2/(n^2 - 1) (K - 2/(n + 1) (K a)(K a)^T / (a^T K a))`` is
 the K-form update.  ``J' = s J (I - beta g g^T)`` scales the volume by
-``s^n (1 - beta)`` on every cut (:func:`step_log_ratio`), so the state
-carries its log-volume incrementally.  ``n >= 2`` is required (the
+``s^n (1 - beta)`` on every cut (:func:`step_log_ratio`), so the log-volume
+is carried incrementally.  ``n >= 2`` is required (the
 ``n^2 - 1``); one-dimensional problems are solved upstream by intervals.
 
 K is positive semidefinite by construction, so no cut factors a matrix: the
@@ -37,29 +37,27 @@ which no epsilon can tell.  Every audit of the empty bench solves of seeds
 passes 1e-6 nats near cond(J) 1e10, some 45 cuts in; its center would leave
 the bounding ball near cond(J) 1e14.
 
-The kernels check no operand: the :class:`Cut` and :class:`EllipsoidState`
-constructors and :func:`central_cut_update` check them first.
+The update works on arrays: :func:`central_cut_update` maps ``(c, J, a)`` to
+``(c', J')``, and the solver carries c, J and the log-volume as locals, so no
+cut builds a state.  :meth:`EllipsoidState.cut` is the same update on a state.
+The kernels check no operand.  The update checks the normal's length, and its
+own test ``QF_FLOOR < ||J^T a||^2 < inf`` refuses a zero, NaN or inf normal;
+the :class:`EllipsoidState` constructor and :func:`ball` check the rest.
 ``J.dot(J.T)`` takes BLAS syrk, which mirrors one triangle, so K is exactly
-symmetric.  Products go through
-``ndarray.dot``: the BLAS gemv or ddot of ``@`` without the matmul gufunc's
-dispatch (0.7 to 1.3 us per call, numpy 2.4, one BLAS thread), except that a
-product of one element takes ``@`` (``dot`` multiplies, ``@`` adds the
-product to +0.0, so a zero can differ in sign).  The tests pin the kernels
-byte for byte against the ``@``, ``np.outer`` and ``np.linalg.cholesky``
-forms.
+symmetric.  Products go through ``ndarray.dot``: the BLAS gemv or ddot of
+``@`` without the matmul gufunc's dispatch (0.7 to 1.3 us per call, numpy
+2.4, one BLAS thread), except that a product of one element takes ``@``
+(``dot`` multiplies, ``@`` adds the product to +0.0, so a zero can differ in
+sign).  The tests pin the kernels byte for byte against the ``@``,
+``np.outer`` and ``np.linalg.cholesky`` forms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .solver import Constraint
 
 # ||J^T a||^2 = a^T K a at or below this is treated as a degenerate cut: the
 # square root and the division in the update would be meaningless.
@@ -130,27 +128,12 @@ def log_unit_ball_volume(n: int) -> float:
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
-@dataclass(frozen=True)
-class Cut:
-    """A half-space boundary through the current center; the normal is
-    validated and frozen on construction."""
-
-    normal: np.ndarray
-
-    def __post_init__(self):
-        normal = as_vector(self.normal)
-        if not float(np.linalg.norm(normal)) > 1e-300:
-            raise ValueError("cut normal must be nonzero")
-        normal = normal.copy()
-        normal.flags.writeable = False
-        object.__setattr__(self, "normal", normal)
-
-
 class EllipsoidState:
     """Immutable ellipsoid {c + J u : ||u|| <= 1}: ``center``, the read-only
     ``factor`` J and the running ``log_volume``.  Built from a shape matrix K,
-    factored once (J = chol(K); a K that is not PD is a ValueError).
-    ``shape`` is J J^T, formed when first read, or the K it was built from."""
+    factored once (J = chol(K); a K that is not PD is a ValueError), or by
+    :meth:`cut`.  ``shape`` is J J^T, formed when first read, or the K it was
+    built from."""
 
     __slots__ = ("center", "factor", "log_volume", "_shape")
 
@@ -182,6 +165,14 @@ class EllipsoidState:
             K.setflags(write=False)
             object.__setattr__(self, "_shape", K)
         return K
+
+    def cut(self, normal) -> EllipsoidState:
+        """The state after the central cut on ``normal``: :func:`central_cut_update`
+        on this state's arrays, the log-volume moved by :func:`step_log_ratio`."""
+        normal = np.asarray(normal, dtype=float)
+        center, factor = central_cut_update(self.center, self.factor, normal)
+        return _freeze(object.__new__(EllipsoidState), center, factor,
+                       self.log_volume + step_log_ratio(center.size))
 
 
 def _freeze(state, center, factor, log_volume, shape=None) -> EllipsoidState:
@@ -226,52 +217,55 @@ def step_log_ratio(n: int) -> float:
     return 0.5 * (nn * math.log(nn * nn / (nn * nn - 1.0)) + math.log((nn - 1.0) / (nn + 1.0)))
 
 
-def central_cut_update(state: EllipsoidState, cut: Cut | Constraint) -> EllipsoidState:
-    """Smallest ellipsoid containing {x in state : a^T x >= a^T center}.
-
-    ``a`` is the normal of a :class:`Cut` or of the violated
-    :class:`~ellipsoid.solver.Constraint`, which checks it as strictly.
-    Raises :class:`DegenerateCutError` when ``||J^T a||^2`` underflows or
-    is not finite.
-    """
-    n = state.center.size
+@functools.cache
+def _cut_constants(n: int) -> tuple[float, float, int]:
+    """``beta``, ``s`` and ``n + 1`` of the update in dimension n."""
     if n < 2:
         raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
-    # The constructors of the cut and the state already validated and froze
-    # these arrays; only the pairing of the two can still be wrong.
-    a = cut.normal
-    if a.size != n:
-        raise ValueError(f"vector has length {a.size}, expected {n}")
+    return 1.0 - math.sqrt((n - 1.0) / (n + 1.0)), n / math.sqrt(n * n - 1.0), n + 1
 
-    J = state.factor
-    v = mat_vec(J.T, a)
+
+def central_cut_update(
+    center: np.ndarray, factor: np.ndarray, normal: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Center and factor of the smallest ellipsoid containing
+    {x in E : a^T x >= a^T c}, for E = {c + J u : ||u|| <= 1} and ``a`` =
+    ``normal``.  Both are fresh arrays; the log-volume moves by
+    :func:`step_log_ratio`.
+
+    Raises ``ValueError`` when ``a`` does not fit the dimension, and
+    :class:`DegenerateCutError` when ``||J^T a||^2`` underflows or is not
+    finite, as for a zero, NaN or inf normal.
+    """
+    n = center.size
+    beta, s, n1 = _cut_constants(n)
+    if normal.size != n:
+        raise ValueError(f"vector has length {normal.size}, expected {n}")
+    v = mat_vec(factor.T, normal)
     vv = float(v.dot(v))
     if not QF_FLOOR < vv < math.inf:
         raise DegenerateCutError(f"||J^T a||^2 = {vv} is not in (QF_FLOOR, inf); degenerate cut")
     g = v / math.sqrt(vv)
-    u = mat_vec(J, g)
+    u = mat_vec(factor, g)
     # J - beta u g^T, then the s blow-up in place on the downdate's fresh array.
-    factor = rank1_downdate(J, u, g, 1.0 - math.sqrt((n - 1.0) / (n + 1.0)))
-    factor *= n / math.sqrt(n * n - 1.0)
-    center = state.center + u / (n + 1)
-    return _freeze(object.__new__(EllipsoidState), center, factor,
-                   state.log_volume + step_log_ratio(n))
+    out = rank1_downdate(factor, u, g, beta)
+    out *= s
+    return center + u / n1, out
 
 
-def log_volume_drift(state: EllipsoidState) -> float:
-    """|running log-volume - ln vol(E)|, with ln vol(E) from ln|det J|; inf
-    when det J is 0 or not finite."""
+def log_volume_drift(factor: np.ndarray, log_volume: float) -> float:
+    """|running ``log_volume`` - ln vol(E)|, with ln vol(E) from ln|det J| of
+    ``factor`` J; inf when det J is 0 or not finite."""
     with np.errstate(invalid="ignore"):  # a NaN entry; its det is NaN
-        sign, log_det = np.linalg.slogdet(state.factor)
+        sign, log_det = np.linalg.slogdet(factor)
     if not (sign != 0.0 and math.isfinite(log_det)):
         return math.inf
-    return abs(state.log_volume - log_unit_ball_volume(state.dim) - float(log_det))
+    return abs(log_volume - log_unit_ball_volume(factor.shape[0]) - float(log_det))
 
 
 __all__ = [
     "QF_FLOOR",
     "VOLUME_AUDIT_TOL",
-    "Cut",
     "DegenerateCutError",
     "EllipsoidState",
     "ball",

@@ -11,6 +11,12 @@ that point any feasible region inside the bounding ball has volume below
 ``epsilon``.  Whether that certifies infeasibility is the caller's call (it
 depends on how R and epsilon were chosen), so the outcome carries the
 certificate data and nothing more.
+
+The loop carries the center, the factor J and the running log-volume as
+locals and cuts them with :func:`~ellipsoid.engine.central_cut_update` on
+arrays.  The bounding ball is the one
+:class:`~ellipsoid.engine.EllipsoidState` a solve builds, and a
+:class:`TraceRecord` is built only when a trace is asked for.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .engine import (
     central_cut_update,
     log_volume_drift,
     quadratic_form,
+    step_log_ratio,
 )
 
 DEFAULT_VIOLATION_TOL = 1e-9
@@ -132,8 +139,9 @@ class TraceRecord:
     Cut records carry the violated row, the post-cut center, shape matrix and
     log-volume, and a^T K a of the cut.  The terminal feasible record has
     ``violated_index`` and ``cut_quadratic_form`` set to None and holds the
-    final center and shape.  ``shape`` is the state's own read-only J J^T,
-    formed once per record; the trace file leaves it out.
+    final center and shape.  ``shape`` is the read-only K = J J^T, formed once
+    per traced cut (the bounding ball's R^2 I before the first); the next
+    cut's a^T K a reads the same array.  The trace file leaves it out.
     """
 
     iter: int
@@ -305,8 +313,8 @@ def _solve_interval(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
     return VolumeExhausted(-math.inf, 0)
 
 
-def _audit_volume(state, cuts: int) -> None:
-    drift = log_volume_drift(state)
+def _audit_volume(factor, log_volume: float, cuts: int) -> None:
+    drift = log_volume_drift(factor, log_volume)
     if not drift <= VOLUME_AUDIT_TOL:
         raise NumericalBreakdown(cuts, (
             f"volume audit: the running log-volume is {drift:.3g} nats from "
@@ -328,47 +336,49 @@ def solve(sys: LinearSystem, cfg: SolverConfig) -> SolveOutcome:
     if n == 1:
         return _solve_interval(sys, cfg)
 
-    state = ball(n, sys.radius)
-    log_eps = math.log(cfg.epsilon)
+    start = ball(n, sys.radius)
+    center, J, log_volume, K = start.center, start.factor, start.log_volume, start.shape
+    log_eps, step = math.log(cfg.epsilon), step_log_ratio(n)
     cap = (
         cfg.max_iterations
         if cfg.max_iterations is not None
-        else iteration_cap(n, state.log_volume, cfg.epsilon)
+        else iteration_cap(n, log_volume, cfg.epsilon)
     )
 
     tol, trace = cfg.violation_tolerance, cfg.trace
     rows = _PackedRows(sys, tol)
     cuts = 0
     while True:
-        hit = find_violated(rows, state.center, tol)
+        hit = find_violated(rows, center, tol)
         # The volume audit stops a run at the float64 wall and vouches for
         # every answer; 2n cuts grow cond(J) at most 9-fold (see engine).
-        if cuts and (hit is None or state.log_volume < log_eps or cuts >= cap
+        if cuts and (hit is None or log_volume < log_eps or cuts >= cap
                      or not cuts % (2 * n)):
-            _audit_volume(state, cuts)
+            _audit_volume(J, log_volume, cuts)
         if hit is None:
+            center.setflags(write=False)
             if trace is not None:
-                trace(TraceRecord(
-                    cuts, None, state.center.tolist(), state.log_volume, None, state.shape
-                ))
-            return Feasible(state.center, cuts)
-        if state.log_volume < log_eps:
-            return VolumeExhausted(state.log_volume, cuts)
+                trace(TraceRecord(cuts, None, center.tolist(), log_volume, None, K))
+            return Feasible(center, cuts)
+        if log_volume < log_eps:
+            return VolumeExhausted(log_volume, cuts)
         if cuts >= cap:
             return IterationCapReached(cuts)
 
         # The row's own normal is the cut: Constraint froze it and checked
-        # it finite and nonzero, as Cut would.
+        # it finite and nonzero.
         index, con = hit
-        aKa = quadratic_form(state.shape, con.normal) if trace is not None else None
         try:
-            state = central_cut_update(state, con)
+            center, J = central_cut_update(center, J, con.normal)
         except DegenerateCutError as exc:
             raise NumericalBreakdown(cuts, str(exc)) from exc
+        log_volume += step
         if trace is not None:
-            trace(TraceRecord(
-                cuts, index, state.center.tolist(), state.log_volume, aKa, state.shape
-            ))
+            # a^T K a on the K before the cut; J J^T is the next cut's K.
+            aKa = quadratic_form(K, con.normal)
+            K = J.dot(J.T)
+            K.setflags(write=False)
+            trace(TraceRecord(cuts, index, center.tolist(), log_volume, aKa, K))
         cuts += 1
 
 

@@ -9,7 +9,6 @@ import numpy as np
 from ellipsoid.engine import (
     QF_FLOOR,
     VOLUME_AUDIT_TOL,
-    Cut,
     DegenerateCutError,
     EllipsoidState,
     ball,
@@ -99,7 +98,7 @@ def sample_in_ellipsoid(
     return state.center + (g * r) @ L.T
 
 
-def reference_central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidState:
+def reference_central_cut_update(state: EllipsoidState, normal) -> EllipsoidState:
     """The K-form central-cut update in plain numpy, on the shape matrix K
     instead of the engine's factor J: an independent cross-check.
 
@@ -109,7 +108,7 @@ def reference_central_cut_update(state: EllipsoidState, cut: Cut) -> EllipsoidSt
     n = state.center.size
     if n < 2:
         raise ValueError(f"central-cut update needs dimension >= 2, got {n}")
-    a = np.asarray(cut.normal, dtype=float)
+    a = np.asarray(normal, dtype=float)
     if a.shape != (n,) or not np.all(np.isfinite(a)):
         raise ValueError(f"cut normal of shape {a.shape} does not fit dimension {n}")
 
@@ -149,7 +148,7 @@ def reference_factor_update(center: np.ndarray, J: np.ndarray, log_volume: float
 
 
 def _shape_update(center: np.ndarray, K: np.ndarray, log_volume: float, a):
-    state = reference_central_cut_update(EllipsoidState(center, K, log_volume), Cut(a))
+    state = reference_central_cut_update(EllipsoidState(center, K, log_volume), a)
     return state.center, state.shape, state.log_volume
 
 

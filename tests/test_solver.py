@@ -470,21 +470,80 @@ def test_every_answer_is_audited(monkeypatch, empty, cap):
     audited = []
     drift = solver.log_volume_drift
     monkeypatch.setattr(solver, "log_volume_drift",
-                        lambda state: audited.append(drift(state)) or audited[-1])
+                        lambda J, v: audited.append(drift(J, v)) or audited[-1])
     again = solve(sys, cfg)
     assert type(again) is type(out) and again.iterations == out.iterations
     n = sys.dim
     assert len(audited) == out.iterations // (2 * n) + bool(out.iterations % (2 * n))
-    monkeypatch.setattr(solver, "log_volume_drift", lambda state: 2 * VOLUME_AUDIT_TOL)
+    monkeypatch.setattr(solver, "log_volume_drift", lambda J, v: 2 * VOLUME_AUDIT_TOL)
     with pytest.raises(NumericalBreakdown) as info:
         solve(sys, cfg)
     assert info.value.iteration == min(out.iterations, 2 * n)
 
 
 def test_volume_audit_reports_a_singular_factor(monkeypatch):
-    monkeypatch.setattr(solver, "log_volume_drift", lambda state: math.inf)
+    monkeypatch.setattr(solver, "log_volume_drift", lambda J, v: math.inf)
     with pytest.raises(NumericalBreakdown, match="det J is 0 or not finite"):
         solve(disjoint_system(), SolverConfig(epsilon=1e-6))
+
+
+def call_count_runs():
+    """(name, system, config without trace, whether the last cut itself
+    breaks down) for runs that end in each way a solve can end."""
+    # In a ball of radius 1e-139, ||J^T a||^2 for a row of norm 1e-10 starts
+    # near 1e-298 and shrinks 4/9-fold per cut along it, below QF_FLOOR at cut 6.
+    tiny = 1e-139
+    underflow = LinearSystem(2, (Constraint(np.array([1e-10, 0.0]), 1e-10 * tiny / 2),
+                                 Constraint(np.array([-1e-10, 0.0]), 0.0)), tiny)
+    # The oblique slab of test_volume_audit_fires_on_drift.
+    c, s = math.cos(0.3), math.sin(0.3)
+    slab = LinearSystem(2, (Constraint(np.array([c, s]), 1.0),
+                            Constraint(np.array([-c, -s]), 0.0)), 2.0)
+    drift_eps = 1e-8 * math.exp(ball(2, 2.0).log_volume)
+    return [
+        ("feasible", quadrant_system(), SolverConfig(epsilon=1e-6), False),
+        ("empty", disjoint_system(), SolverConfig(epsilon=1e-6), False),
+        ("capped", disjoint_system(), SolverConfig(epsilon=1e-6, max_iterations=3), False),
+        ("audit", slab, SolverConfig(epsilon=drift_eps), False),
+        ("cut", underflow, SolverConfig(epsilon=1e-320, violation_tolerance=0.0), True),
+    ]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("run", call_count_runs(), ids=lambda run: run[0])
+def test_the_loop_calls_each_global_once_per_cut(monkeypatch, run, traced):
+    # The loop carries c, J and the log-volume itself: after k cuts it has
+    # separated k + 1 times (the last one finds no row, or precedes the
+    # answer or the breakdown), cut k times (k + 1 when the cut itself breaks
+    # down), formed a^T K a once per cut only under a trace, and built no
+    # state but the ball.  The benchmark's per-layer counts read these calls.
+    _, sys, cfg, cut_breaks = run
+    records = []
+    if traced:
+        cfg = dataclasses.replace(cfg, trace=records.append)
+    calls = {"find_violated": 0, "central_cut_update": 0, "quadratic_form": 0, "_freeze": 0}
+    for module, name in [(solver, "find_violated"), (solver, "central_cut_update"),
+                         (solver, "quadratic_form"), (engine, "_freeze")]:
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    try:
+        out = solve(sys, cfg)
+    except NumericalBreakdown as exc:
+        k, broke = exc.iteration, True
+    else:
+        k, broke = out.iterations, False
+        if isinstance(out, Feasible):
+            assert not out.point.flags.writeable
+    assert k > 0 and broke == (run[0] in ("audit", "cut"))
+    assert calls == {
+        "find_violated": k + 1,
+        "central_cut_update": k + cut_breaks,
+        "quadratic_form": k if traced else 0,
+        "_freeze": 1,
+    }
+    assert sum(rec.violated_index is not None for rec in records) == (k if traced else 0)
 
 
 def test_a_solve_factors_at_most_one_matrix(monkeypatch):

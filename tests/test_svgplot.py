@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsoid.cli import main, replay_shapes
-from ellipsoid.engine import Cut, ball, central_cut_update, log_unit_ball_volume
+from ellipsoid.engine import ball, log_unit_ball_volume
 from ellipsoid.solver import Constraint, LinearSystem, SolverConfig, solve
 from ellipsoid.svgplot import ellipse_axes, emit_svg_trace
 from instances import (
@@ -122,7 +122,7 @@ def reference_replay_shapes(sys: LinearSystem, records):
     shapes = [(state.center, state.shape)]
     for rec in cut_records:
         con = sys.constraints[rec.violated_index]
-        state = central_cut_update(state, Cut(con.normal))
+        state = state.cut(con.normal)
         shapes.append((state.center, state.shape))
     return shapes
 
@@ -156,7 +156,7 @@ def test_one_ellipse_element_per_shape():
 
 def test_single_cut_radii_from_unit_ball():
     state = ball(2, 1.0)
-    new = central_cut_update(state, Cut(np.array([1.0, 0.0])))
+    new = state.cut(np.array([1.0, 0.0]))
     sys = LinearSystem(2, (Constraint(np.array([1.0, 0.0]), 0.3),), 1.0)
     doc = render(sys, [], [(state.center, state.shape), (new.center, new.shape)])
     second = ellipses_of(doc)[1]
